@@ -14,7 +14,7 @@ from .lrp import ContributionStats, RelevanceRecord, contribution_stats, contrib
 from .perturb import PerturbationKind, PerturbationSpec, misspell_word, perturb_corpus
 from .quality import BleuScore, corpus_bleu, sentence_bleu
 from .report import ReportInputs, collect, emit_csv, emit_svg
-from .robustness import RobustnessReport, consistency, robustness, robustness_report, robustness_suite
+from .robustness import RobustnessReport, consistency, robustness_report, robustness_suite
 from .semsim import EmbeddingSet, RmssResult, cosine, embedding_set, load_embeddings, pool_tokens, rmss, save_embeddings
 from .series import MetricSeries, SeriesPoint
 from .transformer import TransformerModel, Vocab, build_vocab, forward, init_model, load_model, load_vocab, save_model, save_vocab

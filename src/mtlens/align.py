@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, open_text
 from .errors import DataError
 
 # conditioning-side NULL; None cannot collide with a real token string
@@ -136,16 +136,20 @@ def align_corpora(
     return [viterbi_align(table, h, o) for h, o in zip(hyp, other)]
 
 
+def format_pharaoh(alignments) -> str:
+    return "".join(
+        " ".join(f"{i}-{j}" for i, j in aln.sorted_links()) + "\n" for aln in alignments
+    )
+
+
 def write_pharaoh(alignments, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for aln in alignments:
-            fh.write(" ".join(f"{i}-{j}" for i, j in aln.sorted_links()))
-            fh.write("\n")
+        fh.write(format_pharaoh(alignments))
 
 
 def read_pharaoh(path) -> list[Alignment]:
     alignments = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             links = set()
             for token in line.split():

@@ -7,10 +7,10 @@ path takes an explicit --seed; nothing is seeded from the clock.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +25,8 @@ from .robustness import robustness_suite
 from .semsim import load_embeddings, rmss
 from .transformer import load_model, load_vocab
 from .wordorder import frs as frs_op
+from .wordorder import mean_or_none, score_defined
 from .wordorder import ter as ter_op
-
-
-@dataclass(frozen=True)
-class GlobalConfig:
-    seed: int | None = None
-    threads: int = 1
-    output_format: str = "json"  # json, csv or text, per subcommand
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise UsageError("--threads must be >= 1")
-
-    @staticmethod
-    def from_args(args) -> "GlobalConfig":
-        return GlobalConfig(
-            seed=getattr(args, "seed", None),
-            threads=getattr(args, "threads", 1),
-            output_format=getattr(args, "format", "json"),
-        )
 
 
 def _write_out(text: str, out_path) -> None:
@@ -94,15 +76,11 @@ def cmd_ter(args) -> int:
     ref = load_corpus(args.ref)
     if len(hyp) != len(ref):
         raise DataError(f"corpus length mismatch: {len(hyp)} vs {len(ref)}")
-    results = []
-    skipped = 0
-    for h, r in zip(hyp, ref):
-        if len(r.tokens) == 0:
-            skipped += 1
-            continue
-        results.append(ter_op(h, r, shifts=args.shifts))
+    results, skipped = score_defined(
+        zip(hyp, ref), lambda h, r: ter_op(h, r, shifts=args.shifts)
+    )
     payload = {
-        "mean_ter": sum(r.ter for r in results) / len(results) if results else None,
+        "mean_ter": mean_or_none([r.ter for r in results]),
         "count": len(results),
         "skipped": skipped,
         "shifts": bool(args.shifts),
@@ -128,15 +106,9 @@ def cmd_frs(args) -> int:
             )
     else:
         alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-    results = []
-    skipped = 0
-    for aln, h, o in zip(alignments, hyp, other):
-        if len(o.tokens) == 0:
-            skipped += 1
-            continue
-        results.append(frs_op(aln, h, o))
+    results, skipped = score_defined(zip(alignments, hyp, other), frs_op)
     payload = {
-        "mean_frs": sum(r.frs for r in results) / len(results) if results else None,
+        "mean_frs": mean_or_none([r.frs for r in results]),
         "count": len(results),
         "skipped": skipped,
     }
@@ -152,10 +124,7 @@ def cmd_align(args) -> int:
     hyp = load_corpus(args.hyp)
     other = load_corpus(args.other)
     alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-    lines = "".join(
-        " ".join(f"{i}-{j}" for i, j in aln.sorted_links()) + "\n" for aln in alignments
-    )
-    _write_out(lines, args.out)
+    _write_out(align_mod.format_pharaoh(alignments), args.out)
     return 0
 
 
@@ -179,7 +148,7 @@ def cmd_robust(args) -> int:
     run = load_run(args.clean)
     if args.ref:
         ref = load_corpus(args.ref, name="ref")
-        run = type(run)(source=run.source, reference=ref, checkpoints=run.checkpoints)
+        run = dataclasses.replace(run, reference=ref)
     perturbed = {}
     for item in args.perturbed:
         if "=" in item:
@@ -291,14 +260,12 @@ def cmd_report(args) -> int:
     if not metrics:
         raise UsageError("--metrics needs at least one metric name")
     inputs = report_mod.ReportInputs(
-        align_iterations=args.iters,
-        rmss_k=args.k,
-        lowercase=args.lc,
-        threads=args.threads,
+        align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc
     )
-    if args.embeddings:
+    # load only what a requested metric reads
+    if args.embeddings and any(m.startswith("rmss-") for m in metrics):
         inputs.embeddings = _load_report_embeddings(args.embeddings, run)
-    if args.model and args.vocab:
+    if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
         inputs.model = load_model(args.model)
         inputs.vocab = load_vocab(args.vocab)
     series, notes = report_mod.collect(run, metrics, inputs)
@@ -419,11 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--lc", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     add_out(p)
     p.set_defaults(func=cmd_report)
 
     return parser
+
+
+_EXIT_CODES = {
+    UsageError: 1,
+    DataError: 2,
+    OSError: 2,
+    NumericError: 3,
+    np.linalg.LinAlgError: 3,
+}
 
 
 def main(argv=None) -> int:
@@ -433,23 +408,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        GlobalConfig.from_args(args)  # validates shared flags
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

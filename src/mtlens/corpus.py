@@ -9,6 +9,7 @@ is preserved.
 
 import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -71,6 +72,27 @@ def load_corpus(path, name: str | None = None) -> Corpus:
                 ) from exc
             sentences.append(Sentence.from_line(text))
     return Corpus(name=name, sentences=tuple(sentences))
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; a decode error becomes a
+    DataError naming the file and the first line that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            lineno = next(n for n, raw in enumerate(fh, start=1) if not _is_utf8(raw))
+        raise DataError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})") from exc
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def save_corpus(corpus: Corpus, path) -> None:

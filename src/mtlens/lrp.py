@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .errors import DataError, NumericError
-from .transformer import BOS_ID, TransformerModel, Vocab, forward
+from .transformer import BOS_ID, TransformerModel, Vocab, _heads, _unheads, forward
 
 EPS = 1e-6
 
@@ -65,16 +65,6 @@ def _layer_norm_relevance(ln_cache, rel_out):
     x = ln_cache["x"]
     linear_part = ln_cache["gain"] * (x - ln_cache["mean"]) / ln_cache["std"]
     return linear_part / _stab(ln_cache["out"]) * rel_out
-
-
-def _heads(x, heads):
-    t, d = x.shape
-    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
-
-
-def _unheads(x):
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
 
 
 def _attention_relevance(model, prefix, cache, rel_out):

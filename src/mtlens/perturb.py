@@ -9,7 +9,7 @@ rewrites a selected sentence entirely in upper, lower or per-token
 title case.
 
 Per-sentence RNG streams are derived as seed XOR sentence-index, so
-serial and parallel execution produce identical corpora.
+a sentence's perturbation depends only on the seed and its position.
 """
 
 from dataclasses import dataclass

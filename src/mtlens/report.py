@@ -19,6 +19,7 @@ from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import corpus_wordorder
 
+RELEVANCE_METRICS = ("avg-src-contribution", "src-entropy", "tgt-entropy")
 KNOWN_METRICS = (
     "bleu",
     "frs-vs-ref",
@@ -27,10 +28,7 @@ KNOWN_METRICS = (
     "ter-vs-src",
     "rmss-vs-ref",
     "rmss-vs-src",
-    "avg-src-contribution",
-    "src-entropy",
-    "tgt-entropy",
-)
+) + RELEVANCE_METRICS
 
 
 @dataclass
@@ -48,7 +46,6 @@ class ReportInputs:
     align_iterations: int = 10
     rmss_k: int = 4
     lowercase: bool = False
-    threads: int = 1
 
 
 def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
@@ -77,7 +74,7 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
 
 
 def _lrp_series(run: AnalysisRun, inputs: ReportInputs) -> dict:
-    by_metric = {"avg-src-contribution": [], "src-entropy": [], "tgt-entropy": []}
+    by_metric = {name: [] for name in RELEVANCE_METRICS}
     for ckpt in run.checkpoints:
         records = []
         skipped = 0
@@ -142,10 +139,7 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
                 versus = "reference" if metric.endswith("ref") else "source"
                 if versus not in wordorder_cache:
                     wordorder_cache[versus] = corpus_wordorder(
-                        run,
-                        versus=versus,
-                        iterations=inputs.align_iterations,
-                        threads=inputs.threads,
+                        run, versus=versus, iterations=inputs.align_iterations
                     )
                 frs_series, ter_series = wordorder_cache[versus]
                 computed[frs_series.metric_name] = frs_series

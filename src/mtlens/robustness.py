@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .corpus import AnalysisRun, Corpus
 from .errors import DataError
-from .perturb import PerturbationSpec
 from .quality import BleuScore, corpus_bleu
 
 
@@ -26,7 +25,6 @@ class RobustnessReport:
     raw_ratio: float
     clamped: bool
     consistency: float  # 0..100
-    perturbation: PerturbationSpec | None = None
 
 
 def _safe_bleu(hyp: Corpus, ref: Corpus) -> float:
@@ -35,14 +33,6 @@ def _safe_bleu(hyp: Corpus, ref: Corpus) -> float:
         return corpus_bleu(hyp, ref).score
     except DataError:
         return 0.0
-
-
-def robustness(hyp_clean: Corpus, hyp_perturbed: Corpus, ref: Corpus) -> float:
-    clean = corpus_bleu(hyp_clean, ref)
-    perturbed = corpus_bleu(hyp_perturbed, ref)
-    if clean.score == 0.0:
-        raise DataError("robustness undefined: clean BLEU is zero")
-    return min(1.0, perturbed.score / clean.score)
 
 
 def harmonic_mean(a: float, b: float) -> float:
@@ -67,7 +57,6 @@ def robustness_report(
     hyp_clean: Corpus,
     hyp_perturbed: Corpus,
     ref: Corpus,
-    perturbation: PerturbationSpec | None = None,
 ) -> RobustnessReport:
     tq_clean = corpus_bleu(hyp_clean, ref)
     tq_perturbed = corpus_bleu(hyp_perturbed, ref)
@@ -85,22 +74,16 @@ def robustness_report(
         raw_ratio=raw,
         clamped=raw > 1.0,
         consistency=consistency(hyp_clean, hyp_perturbed),
-        perturbation=perturbation,
     )
 
 
-def robustness_suite(
-    run: AnalysisRun,
-    perturbed_runs: dict,
-    specs: dict | None = None,
-) -> list[RobustnessReport]:
+def robustness_suite(run: AnalysisRun, perturbed_runs: dict) -> list[RobustnessReport]:
     """One report per checkpoint x perturbation kind.
 
     perturbed_runs maps kind -> AnalysisRun whose checkpoints carry
     the hypotheses decoded from the perturbed test set; checkpoint ids
     must pair with the clean run's.
     """
-    specs = specs or {}
     clean_by_id = {c.checkpoint_id: c for c in run.checkpoints}
     reports = []
     for kind in sorted(perturbed_runs):
@@ -119,7 +102,6 @@ def robustness_suite(
                     ckpt.hypotheses,
                     pert_by_id[ckpt.checkpoint_id].hypotheses,
                     run.reference,
-                    perturbation=specs.get(kind),
                 )
             )
     return reports

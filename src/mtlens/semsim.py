@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import open_text
 from .errors import DataError
 
 
@@ -114,7 +115,7 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
 
 def load_embeddings(path) -> EmbeddingSet:
     """Parse "count dim" header plus one vector row per line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: header must be 'count dim'")

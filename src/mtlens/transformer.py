@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import open_text
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -71,7 +72,7 @@ def build_vocab(corpora, limit: int = 512) -> Vocab:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         tokens = [line.rstrip("\n") for line in fh]
     return Vocab.from_tokens(tokens)
 
@@ -139,6 +140,8 @@ class TransformerModel:
     weights: dict
 
     def __post_init__(self):
+        if min(self.layers, self.heads, self.dim, self.ffn, self.vocab_size) < 1:
+            raise DataError("layers, heads, dim, ffn and vocab must be positive")
         if self.dim % self.heads != 0:
             raise DataError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.dim % 2 != 0:
@@ -211,32 +214,31 @@ def save_model(model: TransformerModel, path) -> None:
 def load_model(path) -> TransformerModel:
     config = {}
     weights = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().split()
-        if magic[:1] != ["mtlens-weights"]:
+    with open_text(path) as fh:
+        lines = enumerate(fh, start=1)
+        if next(lines, (1, ""))[1].split()[:1] != ["mtlens-weights"]:
             raise DataError(f"{path}: not a weight file")
-        line = fh.readline()
-        while line:
+        for lineno, line in lines:
             parts = line.split()
             if not parts:
-                line = fh.readline()
                 continue
-            if parts[0] == "array":
-                name = parts[1]
-                shape = tuple(int(d) for d in parts[2:])
-                n_rows = 1 if len(shape) == 1 else shape[0]
-                rows = []
-                for _ in range(n_rows):
-                    rows.append([float(v) for v in fh.readline().split()])
-                try:
+            try:
+                if parts[0] == "array" and len(parts) > 2:
+                    name = parts[1]
+                    shape = tuple(int(d) for d in parts[2:])
+                    rows = []
+                    for _ in range(1 if len(shape) == 1 else shape[0]):
+                        lineno, row = next(lines, (lineno, None))
+                        if row is None:
+                            raise DataError(f"{path}: array {name} cut short by end of file")
+                        rows.append([float(v) for v in row.split()])
                     weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
-                except ValueError as exc:
-                    raise DataError(f"{path}: array {name} malformed: {exc}") from exc
-            elif len(parts) == 2:
-                config[parts[0]] = int(parts[1])
-            else:
-                raise DataError(f"{path}: unparseable line {line!r}")
-            line = fh.readline()
+                elif len(parts) == 2:
+                    config[parts[0]] = int(parts[1])
+                else:
+                    raise DataError(f"{path}: line {lineno}: unparseable line {line!r}")
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return TransformerModel(
             layers=config["layers"],
@@ -248,6 +250,8 @@ def load_model(path) -> TransformerModel:
         )
     except KeyError as exc:
         raise DataError(f"{path}: missing config key {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ optional shift mode adds Snover-style greedy block shifts at cost 1
 each before counting remaining insert/delete/substitute edits.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .align import Alignment, train_model1, viterbi_align
@@ -127,7 +126,24 @@ def ter(hyp: Sentence, ref: Sentence, shifts: bool = False) -> TerResult:
     return TerResult(edits=edits, ref_len=len(ref_tokens), ter=edits / len(ref_tokens))
 
 
-def _mean(values) -> float | None:
+def score_defined(rows, score) -> tuple[list, int]:
+    """score(*row) for each row whose last item, the other side, has tokens.
+
+    FRS and TER are undefined against an empty sentence, so rows with
+    an empty other side are skipped. Returns the scores in row order
+    and the number of rows skipped.
+    """
+    scores = []
+    skipped = 0
+    for row in rows:
+        if len(row[-1].tokens) == 0:
+            skipped += 1
+        else:
+            scores.append(score(*row))
+    return scores, skipped
+
+
+def mean_or_none(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
@@ -135,8 +151,6 @@ def corpus_wordorder(
     run: AnalysisRun,
     versus: str = "reference",
     iterations: int = 10,
-    shifts: bool = False,
-    threads: int = 1,
 ) -> tuple[MetricSeries, MetricSeries]:
     """Per-checkpoint mean FRS and mean TER series.
 
@@ -159,26 +173,15 @@ def corpus_wordorder(
             ter_points.append(SeriesPoint(ckpt.checkpoint_id, None, len(hyp)))
             continue
 
-        def one(pair):
-            h, o = pair
-            if len(o.tokens) == 0:
-                return None
-            aln = viterbi_align(table, h, o)
-            return (frs(aln, h, o).frs, ter(h, o, shifts=shifts).ter)
+        def both(h, o):
+            return frs(viterbi_align(table, h, o), h, o).frs, ter(h, o).ter
 
-        pairs = list(zip(hyp, other))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, pairs))
-        else:
-            results = [one(p) for p in pairs]
-        kept = [r for r in results if r is not None]
-        skipped = len(results) - len(kept)
+        scores, skipped = score_defined(zip(hyp, other), both)
         frs_points.append(
-            SeriesPoint(ckpt.checkpoint_id, _mean([r[0] for r in kept]), skipped)
+            SeriesPoint(ckpt.checkpoint_id, mean_or_none([s[0] for s in scores]), skipped)
         )
         ter_points.append(
-            SeriesPoint(ckpt.checkpoint_id, _mean([r[1] for r in kept]), skipped)
+            SeriesPoint(ckpt.checkpoint_id, mean_or_none([s[1] for s in scores]), skipped)
         )
     suffix = "ref" if versus == "reference" else "src"
     return (

@@ -21,7 +21,7 @@ from mtlens.lrp import contributions, entropy
 from mtlens.perturb import PerturbationKind, PerturbationSpec, perturb_corpus
 from mtlens.quality import corpus_bleu
 from mtlens.rng import SplitMix64
-from mtlens.robustness import harmonic_mean, robustness, robustness_report
+from mtlens.robustness import harmonic_mean, robustness_report
 from mtlens.semsim import embedding_set, rmss
 from mtlens.transformer import RESERVED, Vocab, init_model
 from mtlens.wordorder import frs, ter
@@ -201,7 +201,7 @@ def test_criterion_4_robustness_consistency_algebra():
             "rain drops on the green hills again",
         ]
     )
-    ok = robustness(hyp, hyp, ref) == 1.0
+    ok = robustness_report("c", "k", hyp, hyp, ref).robustness == 1.0
     from mtlens.robustness import consistency
 
     ok = ok and consistency(hyp, worse) == consistency(worse, hyp)
@@ -386,7 +386,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
                 "--embeddings", str(DATA_DIR / "emb3"),
                 "--model", str(DATA_DIR / "fixture.wts"),
                 "--vocab", str(DATA_DIR / "vocab.txt"),
-                "--iters", "10", "--k", "2", "--threads", "1",
+                "--iters", "10", "--k", "2",
             ]
         )
         capsys.readouterr()

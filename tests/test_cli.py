@@ -178,7 +178,7 @@ def test_report_cli_full_fixture(tmp_path, capsys):
         "--embeddings", str(DATA_DIR / "emb3"),
         "--model", str(DATA_DIR / "fixture.wts"),
         "--vocab", str(DATA_DIR / "vocab.txt"),
-        "--iters", "5", "--k", "2", "--threads", "1",
+        "--iters", "5", "--k", "2",
     )
     assert code == 0
     payload = json.loads(out)
@@ -190,8 +190,10 @@ def test_report_cli_full_fixture(tmp_path, capsys):
 
 
 def test_threads_validation(capsys):
-    code, _, _ = run_cli(capsys, "report", "somewhere", "--threads", "0")
+    # report has no --threads option: it is a usage error, not a traceback
+    code, _, err = run_cli(capsys, "report", "somewhere", "--threads", "1")
     assert code == 1
+    assert "Traceback" not in err
 
 
 def test_format_text_headline(tmp_path, capsys):
@@ -227,3 +229,70 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
         )
     assert code == 3
     assert "non-finite" in err
+
+
+def _weights(edit):
+    return edit((DATA_DIR / "fixture.wts").read_text(encoding="utf-8")).encode("utf-8")
+
+
+LRP_MODEL = ["lrp", "--model", "BAD", "--vocab", str(DATA_DIR / "vocab.txt"), "SRC", "SRC"]
+
+# argv with BAD for the malformed file, that file's bytes, and what the error names
+BAD_LOADER_INPUTS = {
+    "weights-config-not-int": (
+        LRP_MODEL, _weights(lambda t: t.replace("layers 2", "layers x")), "line 2",
+    ),
+    "weights-row-not-float": (
+        LRP_MODEL,
+        _weights(lambda t: t.replace("0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0", "1 zz", 1)),
+        "line 8",
+    ),
+    "weights-zero-heads": (
+        LRP_MODEL, _weights(lambda t: t.replace("heads 2", "heads 0")), "positive",
+    ),
+    "weights-array-cut-short": (
+        LRP_MODEL,
+        _weights(lambda t: t[: t.index("array dec0_cross_wk")] + "array dec0_cross_wk 16 16\n"),
+        "end of file",
+    ),
+    "weights-not-utf8": (
+        LRP_MODEL, _weights(lambda t: t).replace(b"layers 2", b"layers \xff"), "line 2",
+    ),
+    "vocab-not-utf8": (
+        ["lrp", "--model", str(DATA_DIR / "fixture.wts"), "--vocab", "BAD", "SRC", "SRC"],
+        b"<bos>\n<eos>\n<unk>\n<pad>\nk\xe9\n",
+        "line 5",
+    ),
+    "align-not-utf8": (
+        ["frs", "SRC", "SRC", "--align", "BAD"], b"0-0 1-1\n0-0 \xff-1\n", "line 2",
+    ),
+    "emb-not-utf8": (["rmss", "--k", "1", "BAD", "EMB"], b"2 2\n1 0\n0 \xff\n", "line 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOADER_INPUTS))
+def test_bad_loader_input_is_data_error(tmp_path, capsys, case):
+    argv, data, named = BAD_LOADER_INPUTS[case]
+    paths = {"BAD": tmp_path / "bad.input", "SRC": tmp_path / "src.txt", "EMB": tmp_path / "good.emb"}
+    paths["BAD"].write_bytes(data)
+    write(paths["SRC"], "ka ke\nra re\n")
+    write(paths["EMB"], "2 2\n1 0\n0 1\n")
+    code, _, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+    assert code == 2
+    assert str(paths["BAD"]) in err and named in err
+    assert "Traceback" not in err
+
+
+def test_report_loads_only_requested_inputs(tmp_path, capsys):
+    emb = tmp_path / "emb"
+    emb.mkdir()
+    write(emb / "ref.emb", "not an embedding file\n")
+    bad_model = tmp_path / "bad.wts"
+    write(bad_model, "mtlens-weights 1\nlayers x\n")
+    code, out, err = run_cli(
+        capsys, "report", str(DATA_DIR / "run3"), "--metrics", "bleu",
+        "--embeddings", str(emb), "--model", str(bad_model),
+        "--vocab", str(DATA_DIR / "vocab.txt"),
+    )
+    assert code == 0, err
+    assert json.loads(out)["series"] == ["bleu"]

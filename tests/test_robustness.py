@@ -2,9 +2,8 @@ import pytest
 
 from mtlens.corpus import AnalysisRun, CheckpointRun
 from mtlens.errors import DataError
-from mtlens.perturb import PerturbationKind, PerturbationSpec
 from mtlens.quality import corpus_bleu
-from mtlens.robustness import consistency, robustness, robustness_report, robustness_suite
+from mtlens.robustness import consistency, robustness_report, robustness_suite
 
 from conftest import make_corpus
 
@@ -36,12 +35,13 @@ WORSE = make_corpus(
 
 
 def test_identical_corpora_unit_robustness():
-    assert robustness(CLEAN, CLEAN, REF) == pytest.approx(1.0)
+    assert robustness_report("c1", "k", CLEAN, CLEAN, REF).robustness == pytest.approx(1.0)
 
 
 def test_ratio_matches_component_bleu():
     expected = corpus_bleu(WORSE, REF).score / corpus_bleu(CLEAN, REF).score
-    assert robustness(CLEAN, WORSE, REF) == pytest.approx(min(1.0, expected))
+    rep = robustness_report("c1", "k", CLEAN, WORSE, REF)
+    assert rep.robustness == pytest.approx(min(1.0, expected))
 
 
 def test_robustness_clamped_when_perturbed_scores_higher():
@@ -55,7 +55,7 @@ def test_robustness_clamped_when_perturbed_scores_higher():
 def test_robustness_zero_clean_bleu_rejected():
     disjoint = make_corpus(["x y z", "q w e", "r t y"], "disjoint")
     with pytest.raises(DataError):
-        robustness(disjoint, CLEAN, REF)
+        robustness_report("c1", "k", disjoint, CLEAN, REF)
 
 
 def test_consistency_identical():
@@ -103,8 +103,7 @@ def test_suite_clean_equals_perturbed():
 def test_suite_composes_component_oracles():
     clean_run = _run({"c1": CLEAN})
     pert_run = _run({"c1": WORSE})
-    spec = PerturbationSpec(PerturbationKind.MISSPELLING, 0.1, seed=1)
-    reports = robustness_suite(clean_run, {"misspelling": pert_run}, {"misspelling": spec})
+    reports = robustness_suite(clean_run, {"misspelling": pert_run})
     rep = reports[0]
     assert rep.tq_clean.score == pytest.approx(corpus_bleu(CLEAN, REF).score)
     assert rep.tq_perturbed.score == pytest.approx(corpus_bleu(WORSE, REF).score)
@@ -112,7 +111,6 @@ def test_suite_composes_component_oracles():
         min(1.0, rep.tq_perturbed.score / rep.tq_clean.score)
     )
     assert rep.consistency == pytest.approx(consistency(CLEAN, WORSE))
-    assert rep.perturbation is spec
 
 
 def test_suite_mismatched_checkpoints():

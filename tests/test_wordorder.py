@@ -235,12 +235,12 @@ def test_corpus_wordorder_versus_source():
     assert ter_series.points[0].value == pytest.approx(0.0)
 
 
-def test_corpus_wordorder_threads_agree():
+def test_corpus_wordorder_repeatable():
     ref = ["a b c", "d e f", "g h"]
     run = _tiny_run({"c1": ["a c b", "d e f", "h g"]}, ["1 2 3", "4 5 6", "7 8"], ref)
-    serial = corpus_wordorder(run, versus="reference", iterations=4, threads=1)
-    parallel = corpus_wordorder(run, versus="reference", iterations=4, threads=4)
-    assert serial == parallel
+    first = corpus_wordorder(run, versus="reference", iterations=4)
+    second = corpus_wordorder(run, versus="reference", iterations=4)
+    assert first == second
 
 
 def test_levenshtein_basics():
