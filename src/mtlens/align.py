@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Sentence, open_text
+from .corpus import Corpus, Sentence, read_lines
 from .errors import DataError
 
 # conditioning-side NULL; None cannot collide with a real token string
@@ -149,15 +149,14 @@ def write_pharaoh(alignments, path) -> None:
 
 def read_pharaoh(path) -> list[Alignment]:
     alignments = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            links = set()
-            for token in line.split():
-                m = _PHARAOH_TOKEN.match(token)
-                if m is None:
-                    raise DataError(
-                        f"{path}: line {lineno}: malformed alignment token {token!r}"
-                    )
-                links.add((int(m.group(1)), int(m.group(2))))
-            alignments.append(Alignment(links=frozenset(links)))
+    for lineno, line in read_lines(path):
+        links = set()
+        for token in line.split():
+            m = _PHARAOH_TOKEN.match(token)
+            if m is None:
+                raise DataError(
+                    f"{path}: line {lineno}: malformed alignment token {token!r}"
+                )
+            links.add((int(m.group(1)), int(m.group(2))))
+        alignments.append(Alignment(links=frozenset(links)))
     return alignments

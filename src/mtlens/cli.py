@@ -43,7 +43,7 @@ def _emit_json(obj, out_path) -> None:
 
 def _emit_scalar(payload: dict, headline_key: str, args) -> None:
     """JSON by default; --format text prints just the headline value."""
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         _write_out(f"{payload[headline_key]}\n", args.out)
     else:
         _emit_json(payload, args.out)
@@ -86,9 +86,7 @@ def cmd_ter(args) -> int:
         "shifts": bool(args.shifts),
     }
     if args.per_sentence:
-        payload["sentences"] = [
-            {"edits": r.edits, "ref_len": r.ref_len, "ter": r.ter} for r in results
-        ]
+        payload["sentences"] = [dataclasses.asdict(r) for r in results]
     _emit_scalar(payload, "mean_ter", args)
     return 0
 
@@ -113,9 +111,7 @@ def cmd_frs(args) -> int:
         "skipped": skipped,
     }
     if args.per_sentence:
-        payload["sentences"] = [
-            {"frs": r.frs, "chunks": r.chunks, "ref_len": r.ref_len} for r in results
-        ]
+        payload["sentences"] = [dataclasses.asdict(r) for r in results]
     _emit_scalar(payload, "mean_frs", args)
     return 0
 
@@ -179,7 +175,7 @@ def cmd_rmss(args) -> int:
             fh.write("\n")
     _emit_scalar(
         {
-            "mean": None if result.skipped == x_set.count else result.mean,
+            "mean": result.mean,
             "k": result.k,
             "count": x_set.count,
             "skipped": result.skipped,
@@ -221,17 +217,8 @@ def cmd_lrp(args) -> int:
                 )
             )
     if all_records:
-        stats = contribution_stats(all_records)
-        summary = {
-            "summary": {
-                "avg_source_contribution": stats.avg_source_contribution,
-                "source_entropy": stats.source_entropy,
-                "target_entropy": stats.target_entropy,
-                "steps": stats.steps,
-                "target_steps": stats.target_steps,
-                "skipped_sentences": skipped,
-            }
-        }
+        stats = dataclasses.asdict(contribution_stats(all_records))
+        summary = {"summary": {**stats, "skipped_sentences": skipped}}
     else:
         summary = {"summary": None, "skipped_sentences": skipped}
     out_lines.append(json.dumps(summary))

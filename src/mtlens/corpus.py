@@ -1,15 +1,17 @@
 """Sentence corpora and checkpoint-run layouts.
 
-File contract: plain-text UTF-8, one sentence per line, LF endings.
-A run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
-Tokenization is whitespace splitting after Unicode NFC normalization;
-empty lines become zero-token sentences so line pairing across files
-is preserved.
+File contract: every text input is UTF-8 with LF line ends; a CR
+before an LF is ignored. read_lines() is the one reader behind every
+loader, so each loader error names the file and, where there is one,
+the line. Corpora hold one sentence per line. A run directory holds
+src.txt, ref.txt and checkpoints/<id>/hyp.txt. Tokenization is
+whitespace splitting after Unicode NFC normalization; empty lines
+become zero-token sentences so line pairing across files is
+preserved.
 """
 
 import os
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -49,50 +51,37 @@ class Corpus:
         return self.sentences[i]
 
 
-def load_corpus(path, name: str | None = None) -> Corpus:
-    """Read one sentence per line; decode failures name the line."""
-    if name is None:
-        name = os.path.basename(str(path))
+def read_lines(path):
+    """Yield (line number, text) for each line of a UTF-8 text file.
+
+    Lines end only at LF; the LF is dropped, and so is a CR just before
+    it or at the end of the file. The file is streamed, never held
+    whole. A line that is not UTF-8, or a file that cannot be opened,
+    raises a DataError naming the path.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    sentences = []
-    if data:
-        raw_lines = data.split(b"\n")
-        if raw_lines and raw_lines[-1] == b"":
-            raw_lines.pop()  # trailing newline, not an extra sentence
-        for lineno, raw in enumerate(raw_lines, start=1):
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                text = raw.decode("utf-8")
+                text = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
                 ) from exc
-            sentences.append(Sentence.from_line(text))
-    return Corpus(name=name, sentences=tuple(sentences))
+            yield lineno, text
 
 
-@contextmanager
-def open_text(path):
-    """Open a UTF-8 text file for reading; a decode error becomes a
-    DataError naming the file and the first line that is not UTF-8."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            lineno = next(n for n, raw in enumerate(fh, start=1) if not _is_utf8(raw))
-        raise DataError(f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})") from exc
-
-
-def _is_utf8(raw: bytes) -> bool:
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
+def load_corpus(path, name: str | None = None) -> Corpus:
+    """Read one sentence per line; a blank line is a zero-token sentence."""
+    if name is None:
+        name = os.path.basename(str(path))
+    return Corpus(
+        name=name,
+        sentences=tuple(Sentence.from_line(text) for _, text in read_lines(path)),
+    )
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -131,7 +120,7 @@ def load_run(run_dir) -> AnalysisRun:
     reference = load_corpus(ref_path, name="ref")
     if len(reference) != len(source):
         raise DataError(
-            f"ref.txt has {len(reference)} sentences but src.txt has {len(source)}"
+            f"{ref_path} has {len(reference)} sentences but {src_path} has {len(source)}"
         )
 
     ckpt_root = os.path.join(run_dir, "checkpoints")
@@ -148,7 +137,7 @@ def load_run(run_dir) -> AnalysisRun:
         hyp = load_corpus(hyp_path, name=f"hyp@{ckpt_id}")
         if len(hyp) != len(source):
             raise DataError(
-                f"checkpoint {ckpt_id}: {len(hyp)} hypotheses for {len(source)} sources"
+                f"{hyp_path}: {len(hyp)} hypotheses for {len(source)} sources"
             )
         checkpoints.append(CheckpointRun(checkpoint_id=ckpt_id, hypotheses=hyp))
     return AnalysisRun(source=source, reference=reference, checkpoints=tuple(checkpoints))

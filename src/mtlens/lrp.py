@@ -29,7 +29,6 @@ all relevance.
 Raw signed per-token sums are kept on each record for diagnostics.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,7 +255,3 @@ def contribution_stats(records) -> ContributionStats:
         steps=len(records),
         target_steps=len(tgt_entropies),
     )
-
-
-def max_entropy(n: int) -> float:
-    return math.log(n) if n > 0 else 0.0

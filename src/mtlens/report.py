@@ -7,7 +7,6 @@ cells marking undefined points. SVG output assembles one 800x400
 line chart per series, stacked vertically in a single file.
 """
 
-import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -68,8 +67,7 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
     for ckpt in run.checkpoints:
         y_set = emb["checkpoints"][ckpt.checkpoint_id]
         result = rmss(x_set, y_set, inputs.rmss_k)
-        value = None if math.isnan(result.mean) else result.mean
-        points.append(SeriesPoint(ckpt.checkpoint_id, value, result.skipped))
+        points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
     return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points))
 
 
@@ -127,8 +125,6 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
             return f"missing checkpoint embeddings for {missing}"
         return None
 
-    wordorder_cache: dict[str, tuple] = {}
-
     for metric in metrics:
         if metric in computed:
             continue
@@ -137,11 +133,9 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
                 computed[metric] = _bleu_series(run, inputs)
             elif metric in ("frs-vs-ref", "ter-vs-ref", "frs-vs-src", "ter-vs-src"):
                 versus = "reference" if metric.endswith("ref") else "source"
-                if versus not in wordorder_cache:
-                    wordorder_cache[versus] = corpus_wordorder(
-                        run, versus=versus, iterations=inputs.align_iterations
-                    )
-                frs_series, ter_series = wordorder_cache[versus]
+                frs_series, ter_series = corpus_wordorder(
+                    run, versus=versus, iterations=inputs.align_iterations
+                )
                 computed[frs_series.metric_name] = frs_series
                 computed[ter_series.metric_name] = ter_series
             elif metric in ("rmss-vs-ref", "rmss-vs-src"):
@@ -155,8 +149,7 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
                 if inputs.model is None or inputs.vocab is None:
                     notes.append(f"{metric}: skipped (missing model/vocab)")
                     continue
-                if "avg-src-contribution" not in computed:
-                    computed.update(_lrp_series(run, inputs))
+                computed.update(_lrp_series(run, inputs))
         except (DataError, NumericError) as exc:
             notes.append(f"{metric}: skipped ({exc})")
 

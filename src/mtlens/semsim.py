@@ -8,17 +8,20 @@ neighbors in X. Neighbor pools are the full opposing set, so the
 paired sentence may be its own neighbor. Scores are high when a pair
 is closer than its neighborhoods.
 
-Embedding files are text: a "count dim" header line, then one row of
-space-separated decimals per vector. Embedding extraction itself
-happens upstream; this module only ingests (or mean-pools) vectors.
+Embedding files are UTF-8 text read through corpus.read_lines: a
+"count dim" header on line 1, then one row of space-separated
+decimals per vector, so vector i sits on line i + 2; load errors name
+the file and that line. Embedding extraction itself happens upstream;
+this module only ingests (or mean-pools) vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import read_lines
 from .errors import DataError
+from .wordorder import mean_or_none
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,16 @@ def _as_set(vectors) -> EmbeddingSet:
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"embeddings must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0][0])
+    bad = _nonfinite_row(arr)
+    if bad is not None:
         raise DataError(f"non-finite embedding component at row {bad}")
     return EmbeddingSet(vectors=arr)
+
+
+def _nonfinite_row(arr: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or an infinity, or None."""
+    finite = np.isfinite(arr).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def cosine(a, b) -> float:
@@ -69,7 +78,7 @@ def pool_tokens(token_vectors) -> np.ndarray:
 @dataclass(frozen=True)
 class RmssResult:
     per_sentence: tuple  # float per pair, None where the margin degenerated
-    mean: float
+    mean: float | None  # None when no pair scored
     k: int
     skipped: int
 
@@ -108,45 +117,46 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
             skipped += 1
         else:
             per.append(float(cos[i, i] / denom))
-    scored = [v for v in per if v is not None]
-    mean = sum(scored) / len(scored) if scored else float("nan")
+    mean = mean_or_none([v for v in per if v is not None])
     return RmssResult(per_sentence=tuple(per), mean=mean, k=k, skipped=skipped)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Parse "count dim" header plus one vector row per line."""
-    with open_text(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: header must be 'count dim'")
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise DataError(f"{path}: header must be 'count dim'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: bad header {header!r}") from exc
+    if count < 0 or dim < 1:
+        raise DataError(f"{path}: bad header counts {count} {dim}")
+    rows = []
+    for lineno, line in lines:
+        if len(rows) == count:
+            if line.strip():
+                raise DataError(f"{path}: line {lineno}: more rows than the header's {count}")
+            break
         try:
-            count, dim = int(header[0]), int(header[1])
+            row = [float(v) for v in line.split()]
         except ValueError as exc:
-            raise DataError(f"{path}: bad header {header!r}") from exc
-        if count < 0 or dim < 1:
-            raise DataError(f"{path}: bad header counts {count} {dim}")
-        rows = []
-        for idx in range(count):
-            line = fh.readline()
-            if not line:
-                raise DataError(
-                    f"{path}: header promises {count} rows, file has {idx}"
-                )
-            try:
-                row = [float(v) for v in line.split()]
-            except ValueError as exc:
-                raise DataError(f"{path}: row {idx}: bad number") from exc
-            if len(row) != dim:
-                raise DataError(
-                    f"{path}: row {idx}: expected {dim} values, got {len(row)}"
-                )
-            rows.append(row)
-        if fh.readline().strip():
-            raise DataError(f"{path}: more rows than the header's {count}")
-    arr = np.array(rows, dtype=np.float64).reshape(count, dim)
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0][0])
-        raise DataError(f"{path}: non-finite value at row {bad}")
+            raise DataError(f"{path}: line {lineno}: bad number") from exc
+        if len(row) != dim:
+            raise DataError(
+                f"{path}: line {lineno}: expected {dim} values, got {len(row)}"
+            )
+        rows.append(row)
+    if len(rows) < count:
+        raise DataError(f"{path}: header promises {count} rows, file has {len(rows)}")
+    try:
+        arr = np.array(rows, dtype=np.float64).reshape(count, dim)
+    except ValueError as exc:  # a dim too large for numpy, with no rows
+        raise DataError(f"{path}: bad header counts {count} {dim}") from exc
+    bad = _nonfinite_row(arr)
+    if bad is not None:
+        raise DataError(f"{path}: line {bad + 2}: non-finite value")
     return EmbeddingSet(vectors=arr)
 
 

@@ -8,10 +8,11 @@ returns next-token logits for the last prefix position, together with
 a cache of every linear input/output, attention probability matrix
 and layer-norm statistic that relevance propagation needs.
 
-Weight files are self-describing text: a header with the
-configuration, then named arrays with explicit shapes. Vocab files
-hold one token per line, the line number being the id; ids 0..3 are
-reserved for BOS, EOS, UNK and PAD.
+Weight and vocab files are UTF-8 text read through corpus.read_lines,
+so load errors name the file and line. Weight files are
+self-describing: a header with the configuration, then named arrays
+with explicit shapes. Vocab files hold one token per line, the line
+number being the id; ids 0..3 are reserved for BOS, EOS, UNK and PAD.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import read_lines
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -72,9 +73,11 @@ def build_vocab(corpora, limit: int = 512) -> Vocab:
 
 
 def load_vocab(path) -> Vocab:
-    with open_text(path) as fh:
-        tokens = [line.rstrip("\n") for line in fh]
-    return Vocab.from_tokens(tokens)
+    tokens = [line for _, line in read_lines(path)]
+    try:
+        return Vocab.from_tokens(tokens)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_vocab(vocab: Vocab, path) -> None:
@@ -112,22 +115,22 @@ def _layer_names(layers: int):
         )
 
 
-def _expected_shapes(layers, heads, dim, ffn, vocab_size) -> dict:
-    shapes = {"embedding": (vocab_size, dim), "out_w": (dim, vocab_size), "out_b": (vocab_size,)}
+def _expected_shapes(layers, dim, ffn, vocab_size):
+    """Yield (name, shape) for every weight array, in a fixed order."""
+    yield "embedding", (vocab_size, dim)
+    yield "out_w", (dim, vocab_size)
+    yield "out_b", (vocab_size,)
     for name in _layer_names(layers):
         if name.endswith(("_wq", "_wk", "_wv", "_wo")):
-            shapes[name] = (dim, dim)
-        elif name.endswith(("_bq", "_bk", "_bv", "_bo")):
-            shapes[name] = (dim,)
+            yield name, (dim, dim)
         elif name.endswith("_w1"):
-            shapes[name] = (dim, ffn)
+            yield name, (dim, ffn)
         elif name.endswith("_b1"):
-            shapes[name] = (ffn,)
+            yield name, (ffn,)
         elif name.endswith("_w2"):
-            shapes[name] = (ffn, dim)
-        else:  # _b2, ln gains/biases
-            shapes[name] = (dim,)
-    return shapes
+            yield name, (ffn, dim)
+        else:  # attention and _b2 biases, ln gains/biases
+            yield name, (dim,)
 
 
 @dataclass
@@ -146,10 +149,10 @@ class TransformerModel:
             raise DataError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.dim % 2 != 0:
             raise DataError("dim must be even for sinusoidal positions")
-        expected = _expected_shapes(
-            self.layers, self.heads, self.dim, self.ffn, self.vocab_size
-        )
-        for name, shape in expected.items():
+        # stop at the first missing array, so the work is bounded by the
+        # arrays present, not by the layer count a header claims
+        expected = set()
+        for name, shape in _expected_shapes(self.layers, self.dim, self.ffn, self.vocab_size):
             if name not in self.weights:
                 raise DataError(f"missing weight array {name!r}")
             got = self.weights[name].shape
@@ -157,7 +160,8 @@ class TransformerModel:
                 raise DataError(f"weight {name!r} has shape {got}, expected {shape}")
             if not np.all(np.isfinite(self.weights[name])):
                 raise DataError(f"weight {name!r} contains non-finite values")
-        extra = set(self.weights) - set(expected)
+            expected.add(name)
+        extra = set(self.weights) - expected
         if extra:
             raise DataError(f"unexpected weight arrays: {sorted(extra)}")
 
@@ -181,7 +185,7 @@ def init_model(
         return flat.reshape(shape)
 
     weights = {}
-    for name, shape in _expected_shapes(layers, heads, dim, ffn, vocab_size).items():
+    for name, shape in _expected_shapes(layers, dim, ffn, vocab_size):
         if name.endswith("_g"):
             weights[name] = np.ones(shape)
         elif name.endswith(("_b", "_b1", "_b2", "_bq", "_bk", "_bv", "_bo")):
@@ -214,31 +218,30 @@ def save_model(model: TransformerModel, path) -> None:
 def load_model(path) -> TransformerModel:
     config = {}
     weights = {}
-    with open_text(path) as fh:
-        lines = enumerate(fh, start=1)
-        if next(lines, (1, ""))[1].split()[:1] != ["mtlens-weights"]:
-            raise DataError(f"{path}: not a weight file")
-        for lineno, line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "array" and len(parts) > 2:
-                    name = parts[1]
-                    shape = tuple(int(d) for d in parts[2:])
-                    rows = []
-                    for _ in range(1 if len(shape) == 1 else shape[0]):
-                        lineno, row = next(lines, (lineno, None))
-                        if row is None:
-                            raise DataError(f"{path}: array {name} cut short by end of file")
-                        rows.append([float(v) for v in row.split()])
-                    weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
-                elif len(parts) == 2:
-                    config[parts[0]] = int(parts[1])
-                else:
-                    raise DataError(f"{path}: line {lineno}: unparseable line {line!r}")
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    lines = read_lines(path)
+    if next(lines, (1, ""))[1].split()[:1] != ["mtlens-weights"]:
+        raise DataError(f"{path}: not a weight file")
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "array" and len(parts) > 2:
+                name = parts[1]
+                shape = tuple(int(d) for d in parts[2:])
+                rows = []
+                for _ in range(1 if len(shape) == 1 else shape[0]):
+                    lineno, row = next(lines, (lineno, None))
+                    if row is None:
+                        raise DataError(f"{path}: array {name} cut short by end of file")
+                    rows.append([float(v) for v in row.split()])
+                weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
+            elif len(parts) == 2:
+                config[parts[0]] = int(parts[1])
+            else:
+                raise DataError(f"{path}: line {lineno}: unparseable line {line!r}")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return TransformerModel(
             layers=config["layers"],

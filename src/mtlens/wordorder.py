@@ -156,33 +156,31 @@ def corpus_wordorder(
 
     versus selects the comparison side ("reference" or "source").
     Sentences where a metric is undefined (empty other side) are
-    skipped and counted in the series point.
+    skipped and counted in the series point. TER needs no alignment;
+    when a checkpoint has no trainable pair, only its FRS point is
+    undefined.
     """
     if versus not in ("reference", "source"):
         raise DataError(f"versus must be 'reference' or 'source', got {versus!r}")
+    if iterations < 1:
+        raise DataError("need at least one EM iteration")
     other = run.reference if versus == "reference" else run.source
     frs_points = []
     ter_points = []
     for ckpt in run.checkpoints:
         hyp = ckpt.hypotheses
+        ters, skipped = score_defined(zip(hyp, other), lambda h, o: ter(h, o).ter)
+        ter_points.append(SeriesPoint(ckpt.checkpoint_id, mean_or_none(ters), skipped))
         try:
             table = train_model1(hyp, other, iterations=iterations)
         except DataError:
-            # degenerate checkpoint (no trainable pair): whole point undefined
+            # no trainable pair: the whole FRS point is undefined
             frs_points.append(SeriesPoint(ckpt.checkpoint_id, None, len(hyp)))
-            ter_points.append(SeriesPoint(ckpt.checkpoint_id, None, len(hyp)))
             continue
-
-        def both(h, o):
-            return frs(viterbi_align(table, h, o), h, o).frs, ter(h, o).ter
-
-        scores, skipped = score_defined(zip(hyp, other), both)
-        frs_points.append(
-            SeriesPoint(ckpt.checkpoint_id, mean_or_none([s[0] for s in scores]), skipped)
+        frss, skipped = score_defined(
+            zip(hyp, other), lambda h, o: frs(viterbi_align(table, h, o), h, o).frs
         )
-        ter_points.append(
-            SeriesPoint(ckpt.checkpoint_id, mean_or_none([s[1] for s in scores]), skipped)
-        )
+        frs_points.append(SeriesPoint(ckpt.checkpoint_id, mean_or_none(frss), skipped))
     suffix = "ref" if versus == "reference" else "src"
     return (
         MetricSeries(metric_name=f"frs-vs-{suffix}", points=tuple(frs_points)),

@@ -250,6 +250,11 @@ BAD_LOADER_INPUTS = {
     "weights-zero-heads": (
         LRP_MODEL, _weights(lambda t: t.replace("heads 2", "heads 0")), "positive",
     ),
+    "weights-huge-layer-count": (  # validation work grows with the arrays present
+        LRP_MODEL,
+        b"mtlens-weights 1\nlayers 1000000000\nheads 2\ndim 16\nffn 32\nvocab 32\n",
+        "missing weight array 'embedding'",
+    ),
     "weights-array-cut-short": (
         LRP_MODEL,
         _weights(lambda t: t[: t.index("array dec0_cross_wk")] + "array dec0_cross_wk 16 16\n"),
@@ -267,6 +272,9 @@ BAD_LOADER_INPUTS = {
         ["frs", "SRC", "SRC", "--align", "BAD"], b"0-0 1-1\n0-0 \xff-1\n", "line 2",
     ),
     "emb-not-utf8": (["rmss", "--k", "1", "BAD", "EMB"], b"2 2\n1 0\n0 \xff\n", "line 3"),
+    "emb-dim-too-large": (
+        ["rmss", "--k", "1", "BAD", "EMB"], b"0 99999999999999999999\n", "bad header counts",
+    ),
 }
 
 
@@ -296,3 +304,42 @@ def test_report_loads_only_requested_inputs(tmp_path, capsys):
     )
     assert code == 0, err
     assert json.loads(out)["series"] == ["bleu"]
+
+
+def _run_dir(root, ref_lines, hyps):
+    (root / "checkpoints").mkdir(parents=True)
+    write(root / "src.txt", "".join(f"s{i} t{i}\n" for i in range(len(ref_lines))))
+    write(root / "ref.txt", "".join(line + "\n" for line in ref_lines))
+    for ckpt_id, lines in hyps.items():
+        (root / "checkpoints" / ckpt_id).mkdir()
+        write(root / "checkpoints" / ckpt_id / "hyp.txt", "".join(l + "\n" for l in lines))
+    return root
+
+
+def test_report_ter_defined_when_no_pair_aligns(tmp_path, capsys):
+    ref = ["a b c", "d e f"]
+    run = _run_dir(tmp_path / "run", ref, {"c1": ["", ""], "c2": ref})
+    csv = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "report", str(run), "--csv", str(csv))
+    assert code == 0, err
+    code, out, _ = run_cli(
+        capsys, "ter", str(run / "checkpoints" / "c1" / "hyp.txt"), str(run / "ref.txt")
+    )
+    assert code == 0
+    assert json.loads(out)["mean_ter"] == 1.0
+    assert csv.read_text().splitlines()[1] == "c1,0,,1"  # checkpoint,bleu,frs,ter
+
+
+def test_report_zero_iterations_noted(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, "report", str(DATA_DIR / "run3"), "--iters", "0", "--csv", str(csv)
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["series"] == ["bleu"]
+    assert payload["notes"] == [
+        f"{m}: skipped (need at least one EM iteration)" for m in ("frs-vs-ref", "ter-vs-ref")
+    ]
+    assert "Traceback" not in err
+    assert run_cli(capsys, "frs", str(csv), str(csv), "--iters", "0")[0] == 2

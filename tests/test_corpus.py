@@ -2,10 +2,13 @@ import re
 
 import pytest
 
-from mtlens.corpus import Sentence, load_corpus, load_run, save_corpus
+from mtlens.align import read_pharaoh
+from mtlens.corpus import Sentence, load_corpus, load_run, read_lines, save_corpus
 from mtlens.errors import DataError
+from mtlens.semsim import load_embeddings
+from mtlens.transformer import load_model, load_vocab
 
-from conftest import make_corpus
+from conftest import DATA_DIR, make_corpus
 
 
 def write(path, text):
@@ -54,6 +57,43 @@ def test_invalid_utf8_names_line(tmp_path):
 def test_missing_file():
     with pytest.raises(DataError):
         load_corpus("/nonexistent/nowhere.txt")
+
+
+def test_read_lines_breaks_only_at_lf(tmp_path):
+    p = tmp_path / "a.txt"
+    write(p, b"a b\r\nc\rd\n\n\xc3\xa9 \r")
+    assert list(read_lines(p)) == [(1, "a b"), (2, "c\rd"), (3, ""), (4, "é ")]
+
+
+# loader, fixture, and a view of the result that compares with ==
+LOADERS = {
+    "corpus": (load_corpus, "run3/ref.txt", lambda c: c.sentences),
+    "embeddings": (load_embeddings, "emb3/ref.emb", lambda e: e.vectors.tolist()),
+    "model": (load_model, "fixture.wts", lambda m: {k: v.tolist() for k, v in m.weights.items()}),
+    "vocab": (load_vocab, "vocab.txt", lambda v: v.tokens),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_crlf_file_loads_like_lf(tmp_path, kind):
+    loader, name, view = LOADERS[kind]
+    crlf = tmp_path / "crlf"
+    write(crlf, (DATA_DIR / name).read_bytes().replace(b"\n", b"\r\n"))
+    assert view(loader(crlf)) == view(loader(DATA_DIR / name))
+
+
+def test_crlf_pharaoh_loads_like_lf(tmp_path):
+    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+    write(lf, "0-0 1-1\n\n2-0\n")
+    write(crlf, "0-0 1-1\r\n\r\n2-0\r\n")
+    assert read_pharaoh(crlf) == read_pharaoh(lf)
+
+
+@pytest.mark.parametrize("loader", [read_pharaoh, load_embeddings, load_model, load_vocab])
+def test_missing_file_names_path(tmp_path, loader):
+    missing = tmp_path / "missing.input"
+    with pytest.raises(DataError, match="missing.input"):
+        loader(missing)
 
 
 def test_roundtrip_idempotent(tmp_path):

@@ -1,0 +1,148 @@
+"""Property tests: every loader either loads or raises a DataError that
+names the file, and the CLI keeps its exit-code contract, on arbitrary
+bytes, truncated fixture files and fixture files with one token
+replaced by random text."""
+
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mtlens.align import read_pharaoh
+from mtlens.cli import main
+from mtlens.corpus import load_corpus, load_run
+from mtlens.errors import DataError
+from mtlens.semsim import load_embeddings
+from mtlens.transformer import load_model, load_vocab
+
+from conftest import DATA_DIR
+
+RUN = DATA_DIR / "run3"
+PHARAOH = b"0-0 1-1 2-3 3-2\n0-1 1-0\n\n0-0 2-2 3-3\n"
+
+FIXTURES = {
+    "corpus": (load_corpus, (RUN / "ref.txt").read_bytes()),
+    "pharaoh": (read_pharaoh, PHARAOH),
+    "embeddings": (load_embeddings, (DATA_DIR / "emb3" / "ref.emb").read_bytes()),
+    "model": (load_model, (DATA_DIR / "fixture.wts").read_bytes()),
+    "vocab": (load_vocab, (DATA_DIR / "vocab.txt").read_bytes()),
+}
+
+RUN_FILES = ("src.txt", "ref.txt", "checkpoints/000200/hyp.txt")
+
+PROPERTY = settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def mutated(data: bytes):
+    """Arbitrary bytes, a prefix of data, or data with one token replaced."""
+    spans = [m.span() for m in re.finditer(rb"\S+", data)]
+    replaced = st.tuples(st.sampled_from(spans), st.text(max_size=12)).map(
+        lambda t: data[: t[0][0]] + t[1].encode("utf-8") + data[t[0][1] :]
+    )
+    return st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, len(data)).map(lambda n: data[:n]),
+        replaced,
+    )
+
+
+def loads_or_names(loader, path):
+    try:
+        loader(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+
+
+@contextlib.contextmanager
+def scratch_dir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+def copy_run(root: Path, rel: str, data: bytes) -> Path:
+    run = root / "run"
+    shutil.copytree(RUN, run)
+    (run / rel).write_bytes(data)
+    return run
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+@PROPERTY
+@given(data=st.data())
+def test_loader_loads_or_names_file(kind, data):
+    loader, fixture = FIXTURES[kind]
+    with scratch_dir() as root:
+        path = root / f"input.{kind}"
+        path.write_bytes(data.draw(mutated(fixture)))
+        loads_or_names(loader, path)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_load_run_loads_or_names_file(data):
+    rel = data.draw(st.sampled_from(RUN_FILES))
+    with scratch_dir() as root:
+        run = copy_run(root, rel, data.draw(mutated((RUN / rel).read_bytes())))
+        try:
+            load_run(run)
+        except DataError as exc:
+            assert str(run / rel) in str(exc)
+
+
+HYP = str(RUN / "checkpoints" / "000200" / "hyp.txt")
+REF = str(RUN / "ref.txt")
+
+# kind -> argv running the CLI on the file of that kind, BAD standing for
+# it; lrp reads ONE, a one-sentence corpus, to keep each example cheap
+CLI_CASES = {
+    "corpus": ["bleu", "BAD", REF],
+    "pharaoh": ["frs", "--align", "BAD", HYP, REF],
+    "embeddings": ["rmss", "--k", "2", "BAD", str(DATA_DIR / "emb3" / "src.emb")],
+    "model": ["lrp", "--model", "BAD", "--vocab", str(DATA_DIR / "vocab.txt"), "ONE", "ONE"],
+    "vocab": ["lrp", "--model", str(DATA_DIR / "fixture.wts"), "--vocab", "BAD", "ONE", "ONE"],
+}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+@PROPERTY
+@given(data=st.data())
+def test_cli_exit_code_contract(kind, data):
+    with scratch_dir() as root:
+        paths = {"BAD": root / "bad.input", "ONE": root / "one.txt"}
+        paths["BAD"].write_bytes(data.draw(mutated(FIXTURES[kind][1])))
+        paths["ONE"].write_text("ka re mi\n", encoding="utf-8")
+        code, err = run_main([str(paths.get(a, a)) for a in CLI_CASES[kind]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@PROPERTY
+@given(data=st.data())
+def test_cli_report_exit_code_contract(data):
+    rel = data.draw(st.sampled_from(RUN_FILES))
+    with scratch_dir() as root:
+        run = copy_run(root, rel, data.draw(mutated((RUN / rel).read_bytes())))
+        code, err = run_main(["report", str(run), "--iters", "2", "--out", str(root / "o.json")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

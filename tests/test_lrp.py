@@ -11,7 +11,6 @@ from mtlens.lrp import (
     entropy,
     linear_relevance,
     lrp_backward,
-    max_entropy,
 )
 from mtlens.rng import SplitMix64
 from mtlens.transformer import RESERVED, Vocab, forward, init_model, load_model, load_vocab
@@ -126,7 +125,6 @@ def test_empty_sentences_rejected():
 def test_entropy_uniform_and_point_mass():
     assert entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(math.log(4))
     assert entropy([1.0, 0.0, 0.0]) == 0.0
-    assert max_entropy(4) == pytest.approx(math.log(4))
 
 
 def test_entropy_bounds_every_step():
