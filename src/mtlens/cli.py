@@ -8,6 +8,7 @@ path takes an explicit --seed; nothing is seeded from the clock.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -104,7 +105,14 @@ def cmd_frs(args) -> int:
             )
     else:
         alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-    results, skipped = score_defined(zip(alignments, hyp, other), frs_op)
+
+    def score(lineno, alignment, h, o):
+        try:
+            return frs_op(alignment, h, o)
+        except DataError as exc:  # only a link read from --align can fall outside its pair
+            raise DataError(f"{args.align}: line {lineno}: {exc}") from exc
+
+    results, skipped = score_defined(zip(itertools.count(1), alignments, hyp, other), score)
     payload = {
         "mean_frs": mean_or_none([r.frs for r in results]),
         "count": len(results),

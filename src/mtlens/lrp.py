@@ -1,7 +1,9 @@
 """Layer-wise relevance propagation through the encoder-decoder.
 
 Relevance is seeded as 1.0 on the top-1 logit of a decoding step and
-redistributed backward to the input embeddings. Propagation rules:
+redistributed backward to the input embeddings by one routine,
+_layer_relevance, which walks each layer's sublayer table (see
+transformer.py) from the last pair to the first. Propagation rules:
 
 * linear maps use the epsilon rule, R_i = sum_j x_i w_ij /
   (z_j + eps*sign(z_j)) * R_j with eps = 1e-6 (the bias's share of a
@@ -35,7 +37,8 @@ import numpy as np
 
 from .corpus import Sentence
 from .errors import DataError, NumericError
-from .transformer import BOS_ID, TransformerModel, Vocab, _heads, _unheads, forward
+from .transformer import BOS_ID, DECODER_LAYER, ENCODER_LAYER, TransformerModel, Vocab
+from .transformer import _heads, _unheads, forward
 
 EPS = 1e-6
 
@@ -86,39 +89,30 @@ def _attention_relevance(model, prefix, cache, rel_out):
 
 def _ffn_relevance(model, prefix, cache, rel_out):
     w = model.weights
-    rel_relu = linear_relevance(cache["relu"], w[f"{prefix}_w2"], cache["z2"], rel_out)
+    rel_relu = linear_relevance(cache["relu"], w[f"{prefix}_w2"], cache["out"], rel_out)
     # ReLU: pass-through (inactive units already carry zero relevance)
-    rel_z1 = rel_relu
-    return linear_relevance(cache["x"], w[f"{prefix}_w1"], cache["z1"], rel_z1)
+    return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu)
 
 
-def _encoder_layer_relevance(model, i, cache, rel_out):
-    rel_sum2 = _layer_norm_relevance(cache["ln2"], rel_out)
-    rel_h1_direct, rel_ffn = _residual_split(cache["h1"], cache["ffn"]["z2"], rel_sum2)
-    rel_h1 = rel_h1_direct + _ffn_relevance(model, f"enc{i}_ffn", cache["ffn"], rel_ffn)
-    rel_sum1 = _layer_norm_relevance(cache["ln1"], rel_h1)
-    rel_x_direct, rel_attn = _residual_split(cache["x"], cache["attn"]["out"], rel_sum1)
-    rel_x = rel_x_direct + _attention_relevance(model, f"enc{i}_attn", cache["attn"], rel_attn)
-    return rel_x
+def _layer_relevance(model, prefix, sublayers, caches, rel):
+    """Backward through one layer of a sublayer table, last sublayer first.
 
-
-def _decoder_layer_relevance(model, i, cache, rel_out):
-    """Returns (relevance over the layer's input, relevance over enc_out)."""
-    rel_sum3 = _layer_norm_relevance(cache["ln3"], rel_out)
-    rel_h2_direct, rel_ffn = _residual_split(cache["h2"], cache["ffn"]["z2"], rel_sum3)
-    rel_h2 = rel_h2_direct + _ffn_relevance(model, f"dec{i}_ffn", cache["ffn"], rel_ffn)
-
-    rel_sum2 = _layer_norm_relevance(cache["ln2"], rel_h2)
-    rel_h1_direct, rel_cross = _residual_split(
-        cache["h1"], cache["cross"]["out"], rel_sum2
-    )
-    rel_enc = _attention_relevance(model, f"dec{i}_cross", cache["cross"], rel_cross)
-    rel_h1 = rel_h1_direct  # cross-attn query path gets nothing
-
-    rel_sum1 = _layer_norm_relevance(cache["ln1"], rel_h1)
-    rel_y_direct, rel_self = _residual_split(cache["y"], cache["self"]["out"], rel_sum1)
-    rel_y = rel_y_direct + _attention_relevance(model, f"dec{i}_self", cache["self"], rel_self)
-    return rel_y, rel_enc
+    Returns the relevance over the layer input and over the memory that
+    "cross" attends to (None for a table without "cross").
+    """
+    rel_memory = None
+    for (name, _), cache in zip(reversed(sublayers), reversed(caches)):
+        sub = f"{prefix}_{name}"
+        rel_sum = _layer_norm_relevance(cache["ln"], rel)
+        rel_direct, rel_sub = _residual_split(cache["in"], cache["out"], rel_sum)
+        if name == "ffn":
+            rel = rel_direct + _ffn_relevance(model, sub, cache, rel_sub)
+        elif name == "cross":
+            rel_memory = _attention_relevance(model, sub, cache, rel_sub)
+            rel = rel_direct  # the query path gets nothing
+        else:
+            rel = rel_direct + _attention_relevance(model, sub, cache, rel_sub)
+    return rel, rel_memory
 
 
 @dataclass(frozen=True)
@@ -155,14 +149,14 @@ def lrp_backward(model: TransformerModel, cache, target: int) -> RelevanceRecord
     rel_dec[-1] = rel_last
     rel_enc_total = np.zeros_like(cache["enc_out"])
     for i in reversed(range(model.layers)):
-        rel_dec, rel_enc = _decoder_layer_relevance(
-            model, i, cache["dec_layers"][i], rel_dec
+        rel_dec, rel_enc = _layer_relevance(
+            model, f"dec{i}", DECODER_LAYER, cache["dec_layers"][i], rel_dec
         )
         rel_enc_total += rel_enc
 
     rel = rel_enc_total
     for i in reversed(range(model.layers)):
-        rel = _encoder_layer_relevance(model, i, cache["enc_layers"][i], rel)
+        rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
     rel_src_embed = rel
 
     raw_source = rel_src_embed.sum(axis=1)

@@ -37,7 +37,8 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
 
-def _as_set(vectors) -> EmbeddingSet:
+def embedding_set(vectors) -> EmbeddingSet:
+    """Validate and wrap raw vectors (used by tests and callers)."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"embeddings must be 2-D, got shape {arr.shape}")
@@ -135,10 +136,10 @@ def load_embeddings(path) -> EmbeddingSet:
         raise DataError(f"{path}: bad header counts {count} {dim}")
     rows = []
     for lineno, line in lines:
-        if len(rows) == count:
+        if len(rows) == count:  # only blank lines may follow the rows
             if line.strip():
                 raise DataError(f"{path}: line {lineno}: more rows than the header's {count}")
-            break
+            continue
         try:
             row = [float(v) for v in line.split()]
         except ValueError as exc:
@@ -166,8 +167,3 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
         for row in emb.vectors:
             fh.write(" ".join(f"{v:.17g}" for v in row))
             fh.write("\n")
-
-
-def embedding_set(vectors) -> EmbeddingSet:
-    """Validate and wrap raw vectors (used by tests and callers)."""
-    return _as_set(vectors)

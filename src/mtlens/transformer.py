@@ -1,12 +1,14 @@
 """Desk-scale transformer encoder-decoder: weights, vocab, forward pass.
 
-Post-norm architecture (sublayer -> residual add -> LayerNorm), ReLU
-feed-forward, sinusoidal position encodings, shared source/target
-embedding table, untied output projection. The forward pass runs one
-decoding step: given the source ids and a non-empty target prefix it
-returns next-token logits for the last prefix position, together with
-a cache of every linear input/output, attention probability matrix
-and layer-norm statistic that relevance propagation needs.
+Post-norm, ReLU feed-forward, sinusoidal positions, shared embedding
+table, untied output projection. The sublayer tables ENCODER_LAYER and
+DECODER_LAYER list each layer's (sublayer, norm) pairs, each run as
+sublayer -> residual add -> LayerNorm ("self" is causal, "cross"
+attends to the encoder output); they name the weight arrays, and one
+routine, _layer, runs them. The forward pass runs one decoding step:
+given the source ids and a non-empty target prefix it returns
+next-token logits for the last prefix position and the per-sublayer
+caches that relevance propagation needs.
 
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
@@ -91,28 +93,8 @@ def save_vocab(vocab: Vocab, path) -> None:
 # model
 
 
-def _attn_names(prefix):
-    for part in ("wq", "wk", "wv", "wo"):
-        yield f"{prefix}_{part}"
-    for part in ("bq", "bk", "bv", "bo"):
-        yield f"{prefix}_{part}"
-
-
-def _layer_names(layers: int):
-    for i in range(layers):
-        yield from _attn_names(f"enc{i}_attn")
-        yield from (
-            f"enc{i}_ffn_w1", f"enc{i}_ffn_b1", f"enc{i}_ffn_w2", f"enc{i}_ffn_b2",
-            f"enc{i}_ln1_g", f"enc{i}_ln1_b", f"enc{i}_ln2_g", f"enc{i}_ln2_b",
-        )
-    for i in range(layers):
-        yield from _attn_names(f"dec{i}_self")
-        yield from _attn_names(f"dec{i}_cross")
-        yield from (
-            f"dec{i}_ffn_w1", f"dec{i}_ffn_b1", f"dec{i}_ffn_w2", f"dec{i}_ffn_b2",
-            f"dec{i}_ln1_g", f"dec{i}_ln1_b", f"dec{i}_ln2_g", f"dec{i}_ln2_b",
-            f"dec{i}_ln3_g", f"dec{i}_ln3_b",
-        )
+ENCODER_LAYER = (("attn", "ln1"), ("ffn", "ln2"))
+DECODER_LAYER = (("self", "ln1"), ("cross", "ln2"), ("ffn", "ln3"))
 
 
 def _expected_shapes(layers, dim, ffn, vocab_size):
@@ -120,17 +102,22 @@ def _expected_shapes(layers, dim, ffn, vocab_size):
     yield "embedding", (vocab_size, dim)
     yield "out_w", (dim, vocab_size)
     yield "out_b", (vocab_size,)
-    for name in _layer_names(layers):
-        if name.endswith(("_wq", "_wk", "_wv", "_wo")):
-            yield name, (dim, dim)
-        elif name.endswith("_w1"):
-            yield name, (dim, ffn)
-        elif name.endswith("_b1"):
-            yield name, (ffn,)
-        elif name.endswith("_w2"):
-            yield name, (ffn, dim)
-        else:  # attention and _b2 biases, ln gains/biases
-            yield name, (dim,)
+    for side, sublayers in (("enc", ENCODER_LAYER), ("dec", DECODER_LAYER)):
+        for i in range(layers):
+            for name, norm in sublayers:
+                sub = f"{side}{i}_{name}"
+                if name == "ffn":
+                    yield f"{sub}_w1", (dim, ffn)
+                    yield f"{sub}_b1", (ffn,)
+                    yield f"{sub}_w2", (ffn, dim)
+                    yield f"{sub}_b2", (dim,)
+                else:
+                    for part in ("wq", "wk", "wv", "wo"):
+                        yield f"{sub}_{part}", (dim, dim)
+                    for part in ("bq", "bk", "bv", "bo"):
+                        yield f"{sub}_{part}", (dim,)
+                yield f"{side}{i}_{norm}_g", (dim,)
+                yield f"{side}{i}_{norm}_b", (dim,)
 
 
 @dataclass
@@ -188,7 +175,7 @@ def init_model(
     for name, shape in _expected_shapes(layers, dim, ffn, vocab_size):
         if name.endswith("_g"):
             weights[name] = np.ones(shape)
-        elif name.endswith(("_b", "_b1", "_b2", "_bq", "_bk", "_bv", "_bo")):
+        elif len(shape) == 1:  # biases
             weights[name] = np.zeros(shape)
         else:
             weights[name] = uniform(shape)
@@ -311,49 +298,36 @@ def _attention(model, prefix, q_in, kv_in, causal):
     ctx_h = probs @ vh  # (H, Tq, dh)
     ctx = _unheads(ctx_h)
     out = ctx @ w[f"{prefix}_wo"] + w[f"{prefix}_bo"]
-    cache = {"q_in": q_in, "kv_in": kv_in, "v": v, "probs": probs, "ctx": ctx, "out": out}
-    return out, cache
+    return out, {"kv_in": kv_in, "v": v, "probs": probs, "ctx": ctx, "out": out}
 
 
 def _ffn(model, prefix, x):
     w = model.weights
     z1 = x @ w[f"{prefix}_w1"] + w[f"{prefix}_b1"]
     relu = np.maximum(z1, 0.0)
-    z2 = relu @ w[f"{prefix}_w2"] + w[f"{prefix}_b2"]
-    cache = {"x": x, "z1": z1, "relu": relu, "z2": z2}
-    return z2, cache
+    out = relu @ w[f"{prefix}_w2"] + w[f"{prefix}_b2"]
+    return out, {"z1": z1, "relu": relu, "out": out}
 
 
-def _encoder_layer(model, i, x):
-    attn_out, attn_cache = _attention(model, f"enc{i}_attn", x, x, causal=False)
-    sum1 = x + attn_out
-    h1, ln1_cache = _layer_norm(sum1, model.weights[f"enc{i}_ln1_g"], model.weights[f"enc{i}_ln1_b"])
-    ffn_out, ffn_cache = _ffn(model, f"enc{i}_ffn", h1)
-    sum2 = h1 + ffn_out
-    h2, ln2_cache = _layer_norm(sum2, model.weights[f"enc{i}_ln2_g"], model.weights[f"enc{i}_ln2_b"])
-    cache = {
-        "x": x, "attn": attn_cache, "sum1": sum1, "ln1": ln1_cache,
-        "h1": h1, "ffn": ffn_cache, "sum2": sum2, "ln2": ln2_cache, "h2": h2,
-    }
-    return h2, cache
+def _layer(model, prefix, sublayers, x, memory=None):
+    """Run one layer of a sublayer table; memory is what "cross" attends to.
 
-
-def _decoder_layer(model, i, y, enc_out):
-    self_out, self_cache = _attention(model, f"dec{i}_self", y, y, causal=True)
-    sum1 = y + self_out
-    h1, ln1_cache = _layer_norm(sum1, model.weights[f"dec{i}_ln1_g"], model.weights[f"dec{i}_ln1_b"])
-    cross_out, cross_cache = _attention(model, f"dec{i}_cross", h1, enc_out, causal=False)
-    sum2 = h1 + cross_out
-    h2, ln2_cache = _layer_norm(sum2, model.weights[f"dec{i}_ln2_g"], model.weights[f"dec{i}_ln2_b"])
-    ffn_out, ffn_cache = _ffn(model, f"dec{i}_ffn", h2)
-    sum3 = h2 + ffn_out
-    h3, ln3_cache = _layer_norm(sum3, model.weights[f"dec{i}_ln3_g"], model.weights[f"dec{i}_ln3_b"])
-    cache = {
-        "y": y, "self": self_cache, "sum1": sum1, "ln1": ln1_cache, "h1": h1,
-        "cross": cross_cache, "sum2": sum2, "ln2": ln2_cache, "h2": h2,
-        "ffn": ffn_cache, "sum3": sum3, "ln3": ln3_cache, "h3": h3,
-    }
-    return h3, cache
+    Returns the output and one cache per sublayer, in table order, each
+    with the sublayer's input ("in") and its layer norm's cache ("ln").
+    """
+    w = model.weights
+    caches = []
+    for name, norm in sublayers:
+        sub = f"{prefix}_{name}"
+        if name == "ffn":
+            out, cache = _ffn(model, sub, x)
+        else:
+            kv_in = memory if name == "cross" else x
+            out, cache = _attention(model, sub, x, kv_in, causal=name == "self")
+        cache["in"] = x
+        x, cache["ln"] = _layer_norm(x + out, w[f"{prefix}_{norm}_g"], w[f"{prefix}_{norm}_b"])
+        caches.append(cache)
+    return x, caches
 
 
 def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
@@ -370,23 +344,19 @@ def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
                 raise DataError(f"token id {t} out of range [0,{model.vocab_size})")
 
     emb = model.weights["embedding"]
-    src_embed = emb[src_ids] + sinusoidal_positions(len(src_ids), model.dim)
+    enc_out = emb[src_ids] + sinusoidal_positions(len(src_ids), model.dim)
     enc_layers = []
-    h = src_embed
     for i in range(model.layers):
-        h, cache = _encoder_layer(model, i, h)
+        enc_out, cache = _layer(model, f"enc{i}", ENCODER_LAYER, enc_out)
         enc_layers.append(cache)
-    enc_out = h
     if not np.all(np.isfinite(enc_out)):
         raise NumericError("non-finite activation in encoder")
 
-    tgt_embed = emb[tgt_prefix_ids] + sinusoidal_positions(len(tgt_prefix_ids), model.dim)
+    dec_out = emb[tgt_prefix_ids] + sinusoidal_positions(len(tgt_prefix_ids), model.dim)
     dec_layers = []
-    h = tgt_embed
     for i in range(model.layers):
-        h, cache = _decoder_layer(model, i, h, enc_out)
+        dec_out, cache = _layer(model, f"dec{i}", DECODER_LAYER, dec_out, enc_out)
         dec_layers.append(cache)
-    dec_out = h
     if not np.all(np.isfinite(dec_out)):
         raise NumericError("non-finite activation in decoder")
 
@@ -396,10 +366,6 @@ def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
         raise NumericError("non-finite logits in forward pass")
 
     cache = {
-        "src_ids": src_ids,
-        "tgt_prefix_ids": tgt_prefix_ids,
-        "src_embed": src_embed,
-        "tgt_embed": tgt_embed,
         "enc_layers": enc_layers,
         "enc_out": enc_out,
         "dec_layers": dec_layers,

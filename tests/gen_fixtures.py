@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=tests python3 tests/gen_fixtures.py
+    PYTHONPATH=src python3 tests/gen_fixtures.py
 
 Everything is seeded, so reruns reproduce the same bytes. Golden
 logits come from the independent reference forward pass in

@@ -275,6 +275,8 @@ BAD_LOADER_INPUTS = {
     "emb-dim-too-large": (
         ["rmss", "--k", "1", "BAD", "EMB"], b"0 99999999999999999999\n", "bad header counts",
     ),
+    "emb-row-after-blank": (["rmss", "--k", "1", "BAD", "EMB"], b"2 2\n1 0\n0 1\n\n5 5\n", "line 5"),
+    "align-link-out-of-range": (["frs", "SRC", "SRC", "--align", "BAD"], b"0-0 1-1\n9-0\n", "line 2"),
 }
 
 

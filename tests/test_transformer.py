@@ -64,6 +64,16 @@ def test_model_roundtrip_exact(tmp_path):
         assert np.array_equal(arr, m2.weights[name]), name
 
 
+def test_seeded_init_reproduces_fixture_weights():
+    # pins the seeded draw order: tests/data/fixture.wts came from this call
+    vocab_size = len(load_vocab(DATA_DIR / "vocab.txt"))
+    m = init_model(layers=2, heads=2, dim=16, ffn=32, vocab_size=vocab_size, seed=2024)
+    fixture = load_model(DATA_DIR / "fixture.wts")
+    assert sorted(m.weights) == sorted(fixture.weights)
+    for name, arr in fixture.weights.items():
+        assert np.array_equal(m.weights[name], arr), name
+
+
 def test_model_shape_validation():
     m = init_model(vocab_size=8, seed=0)
     bad = dict(m.weights)
