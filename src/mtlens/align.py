@@ -8,13 +8,38 @@ receives the prepended NULL token. The translation table stores
 t(hyp_word | other_word), normalized over the hypothesis vocabulary
 for every other-side word.
 
+Layout (the flat arrays of fast_align, Dyer et al. 2013): each side's
+words are interned once to integer ids, in order of first use, and
+NULL is other-side id 0. A word pair (h, o) is the key o*H + h, with
+H the size of the hypothesis vocabulary; the table keeps the sorted
+keys of every co-occurring pair and one probability per key. Training
+builds one link per (hypothesis token, other token) of every trainable
+sentence pair, in (sentence, hypothesis position, other position)
+order. A link's row is its (sentence, hypothesis position) and its
+pair id is its key's index among the sorted keys. One EM iteration is
+three `np.bincount` calls: the E-step denominators over the row ids,
+the expected counts over the pair ids and the per-word totals over
+the other-side ids.
+
+The result is bit-identical to the plain nested-dict EM kept in
+`tests/model1_oracle.py`: `bincount` adds its weights one by one in
+index order, which is the order the dict loops add them in; each
+row's log term is taken with `math.log` (NumPy's `log` may differ in
+the last bit); and the log terms are added with a sequential `+=` in
+row order, since `sum` compensates its rounding on Python 3.12 and
+later. Viterbi is an argmax over the sentence's block of table
+probabilities, which takes the first maximum as a strict `>` scan
+does.
+
 Alignments serialize to Pharaoh text: line k holds space-separated
 "i-j" pairs for sentence k, an empty line meaning no links.
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Corpus, Sentence, read_lines
 from .errors import DataError
@@ -38,15 +63,36 @@ class Alignment:
         return len(self.links)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TranslationTable:
-    """t[other_word][hyp_word] -> probability; other_word may be NULL."""
+    """t(hyp_word | other_word) over interned word ids.
 
-    t: dict = field(default_factory=dict)
+    hyp_ids and other_ids map each side's words to ids (other id 0 is
+    NULL); pair_keys holds other_id * len(hyp_ids) + hyp_id for every
+    co-occurring pair, sorted, and probs[k] is t for pair_keys[k].
+    """
+
+    hyp_ids: dict
+    other_ids: dict
+    pair_keys: np.ndarray
+    probs: np.ndarray
     log_likelihood_history: tuple = ()
 
+    def prob_block(self, hyp_words, other_words) -> np.ndarray:
+        """t for every (hyp word, other word) pair, one row per hyp word.
+
+        Words never seen together in training get 0.0.
+        """
+        h = np.array([self.hyp_ids.get(w, -1) for w in hyp_words], dtype=np.int64)
+        o = np.array([self.other_ids.get(w, -1) for w in other_words], dtype=np.int64)
+        keys = o[None, :] * len(self.hyp_ids) + h[:, None]
+        idx = np.minimum(np.searchsorted(self.pair_keys, keys), len(self.pair_keys) - 1)
+        # an unknown word's id -1 could form another pair's key
+        found = (self.pair_keys[idx] == keys) & (h[:, None] >= 0) & (o[None, :] >= 0)
+        return np.where(found, self.probs[idx], 0.0)
+
     def prob(self, hyp_word: str, other_word) -> float:
-        return self.t.get(other_word, {}).get(hyp_word, 0.0)
+        return float(self.prob_block((hyp_word,), (other_word,))[0, 0])
 
 
 def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> TranslationTable:
@@ -61,50 +107,51 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
         raise DataError(
             f"bitext length mismatch: {len(hyp)} vs {len(other)} sentences"
         )
-    pairs = [
-        (h.tokens, (NULL,) + o.tokens)
-        for h, o in zip(hyp, other)
-        if h.tokens and o.tokens
-    ]
+    pairs = [(h.tokens, o.tokens) for h, o in zip(hyp, other) if h.tokens and o.tokens]
     if not pairs:
         raise DataError("empty bitext: no sentence pair has tokens on both sides")
     if iterations < 1:
         raise DataError("need at least one EM iteration")
 
-    # uniform init over co-occurring pairs
-    cooc: dict = {}
+    hyp_ids: dict = {}
+    other_ids: dict = {NULL: 0}
+    link_h, link_o, row_len = [], [], []
     for h_toks, o_toks in pairs:
-        for o in o_toks:
-            seen = cooc.setdefault(o, {})
-            for h in h_toks:
-                seen[h] = True
-    t = {o: {h: 1.0 / len(hs) for h in hs} for o, hs in cooc.items()}
+        h = np.array([hyp_ids.setdefault(w, len(hyp_ids)) for w in h_toks])
+        o = np.array([0] + [other_ids.setdefault(w, len(other_ids)) for w in o_toks])
+        link_h.append(np.repeat(h, len(o)))
+        link_o.append(np.tile(o, len(h)))
+        row_len.append(np.full(len(h), len(o)))
+    link_o = np.concatenate(link_o)
+    row_len = np.concatenate(row_len)
+    row = np.repeat(np.arange(len(row_len)), row_len)
+    pair_keys, pair = np.unique(
+        link_o * len(hyp_ids) + np.concatenate(link_h), return_inverse=True
+    )
+    pair_o = pair_keys // len(hyp_ids)
 
+    # uniform init over co-occurring pairs
+    t = 1.0 / np.bincount(pair_o)[pair_o]
     history = []
     for _ in range(iterations):
-        counts: dict = {o: dict.fromkeys(hs, 0.0) for o, hs in t.items()}
-        totals: dict = dict.fromkeys(t, 0.0)
+        p = t[pair]
+        denom = np.bincount(row, weights=p)
         log_like = 0.0
-        for h_toks, o_toks in pairs:
-            for h in h_toks:
-                denom = 0.0
-                for o in o_toks:
-                    denom += t[o].get(h, 0.0)
-                log_like += math.log(max(denom / len(o_toks), PROB_FLOOR))
-                denom = max(denom, PROB_FLOOR)
-                for o in o_toks:
-                    p = t[o].get(h, 0.0)
-                    if p == 0.0:
-                        continue
-                    c = p / denom
-                    counts[o][h] += c
-                    totals[o] += c
+        for mean in np.maximum(denom / row_len, PROB_FLOOR).tolist():
+            log_like += math.log(mean)
         history.append(log_like)
-        for o, row in counts.items():
-            norm = max(totals[o], PROB_FLOOR)
-            t[o] = {h: c / norm for h, c in row.items()}
+        c = p / np.maximum(denom, PROB_FLOOR)[row]
+        counts = np.bincount(pair, weights=c, minlength=len(pair_keys))
+        totals = np.bincount(link_o, weights=c)
+        t = counts / np.maximum(totals, PROB_FLOOR)[pair_o]
 
-    return TranslationTable(t=t, log_likelihood_history=tuple(history))
+    return TranslationTable(
+        hyp_ids=hyp_ids,
+        other_ids=other_ids,
+        pair_keys=pair_keys,
+        probs=t,
+        log_likelihood_history=tuple(history),
+    )
 
 
 def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Alignment:
@@ -114,18 +161,14 @@ def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Al
     wins only when strictly more likely than every real position.
     Tokens whose best candidate has zero probability stay unlinked.
     """
-    links = set()
-    for i, h in enumerate(hyp.tokens):
-        best_j = -1
-        best_p = 0.0
-        for j, o in enumerate(other.tokens):
-            p = table.prob(h, o)
-            if p > best_p:
-                best_p = p
-                best_j = j
-        if best_j >= 0 and table.prob(h, NULL) <= best_p:
-            links.add((i, best_j))
-    return Alignment(links=frozenset(links))
+    if not hyp.tokens or not other.tokens:
+        return Alignment(links=frozenset())
+    block = table.prob_block(hyp.tokens, (NULL,) + other.tokens)
+    null_p, real = block[:, 0], block[:, 1:]
+    best_j = real.argmax(axis=1)  # the first maximum
+    best_p = real.max(axis=1)
+    linked = np.flatnonzero((best_p > 0.0) & (null_p <= best_p))
+    return Alignment(links=frozenset(zip(linked.tolist(), best_j[linked].tolist())))
 
 
 def align_corpora(

@@ -6,6 +6,10 @@ hypothesis reads in the other side's order, 0 means every adjacent
 pair breaks. TER = E / L_ref with E a word-level edit count; the
 optional shift mode adds Snover-style greedy block shifts at cost 1
 each before counting remaining insert/delete/substitute edits.
+
+The edit distance, with or without shifts, is computed bit-parallel
+over Python ints (see `levenshtein`); the full-table DP it must equal
+lives in the tests.
 """
 
 from dataclasses import dataclass
@@ -62,23 +66,42 @@ def frs(alignment: Alignment, hyp: Sentence, other: Sentence) -> ReorderingResul
 
 
 def levenshtein(a, b) -> int:
-    """Word-level edit distance with unit insert/delete/substitute costs."""
+    """Word-level edit distance with unit insert/delete/substitute costs.
+
+    Bit-parallel (Myers 1999, in Hyyro's 2001 form for the global
+    distance): bit i of a Python int stands for row i of one column of
+    the DP table over the longer sequence, and each token of the
+    shorter one advances the whole column with a few integer
+    operations. The full-table DP oracle is in `tests/test_wordorder.py`.
+    """
     a, b = list(a), list(b)
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        cur = [i]
-        for j, tok_b in enumerate(b, start=1):
-            cur.append(
-                min(
-                    prev[j] + 1,
-                    cur[j - 1] + 1,
-                    prev[j - 1] + (tok_a != tok_b),
-                )
-            )
-        prev = cur
-    return prev[len(b)]
+    if not b:
+        return len(a)
+    match: dict = {}  # token -> bit mask of its positions in a
+    for i, tok in enumerate(a):
+        match[tok] = match.get(tok, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pos, neg = mask, 0  # vertical +1 / -1 deltas down the column
+    dist = len(a)
+    for tok in b:
+        eq = match.get(tok, 0)
+        xv = eq | neg
+        xh = (((eq & pos) + pos) ^ pos) | eq
+        hpos = neg | (~(xh | pos) & mask)
+        hneg = pos & xh
+        if hpos & last:
+            dist += 1
+        elif hneg & last:
+            dist -= 1
+        # row 0 of the table is 0, 1, 2, ...: its horizontal delta is +1
+        hpos = ((hpos << 1) | 1) & mask
+        hneg = (hneg << 1) & mask
+        pos = hneg | (~(xv | hpos) & mask)
+        neg = hpos & xv
+    return dist
 
 
 def _best_shift(hyp_tokens: list, ref_tokens: list, base: int):

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import model1_oracle
 from mtlens.align import (
     NULL,
     Alignment,
@@ -9,9 +13,11 @@ from mtlens.align import (
     viterbi_align,
     write_pharaoh,
 )
+from mtlens.corpus import load_run
 from mtlens.errors import DataError
+from mtlens.rng import SplitMix64
 
-from conftest import make_corpus, make_sentence
+from conftest import DATA_DIR, make_corpus, make_sentence
 
 
 def test_single_pair_forces_mass():
@@ -53,8 +59,11 @@ def test_per_source_normalization_every_iteration():
     other = make_corpus(["das haus", "das buch", "eine katze sass"])
     for iters in (1, 2, 5, 10):
         table = train_model1(hyp, other, iterations=iters)
-        for src_word, row in table.t.items():
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9), src_word
+        # one sum per other-side word (NULL included) over its pairs
+        other_id = table.pair_keys // len(table.hyp_ids)
+        sums = np.bincount(other_id, weights=table.probs)
+        assert len(sums) == len(table.other_ids)
+        assert sums == pytest.approx(np.ones(len(sums)), abs=1e-9)
 
 
 def test_empty_bitext_rejected():
@@ -136,3 +145,90 @@ def test_align_corpora_counts():
     other = make_corpus(["x y", "z"])
     alignments = align_corpora(hyp, other, iterations=3)
     assert len(alignments) == 2
+
+
+# -- equality with the nested-dict EM in tests/model1_oracle.py ---------------
+
+EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def assert_same_as_oracle(hyp, other, iterations, probes=()):
+    """Table, history and Viterbi links equal the oracle's bit for bit.
+
+    probes are extra (hyp, other) sentence pairs to align, which may
+    hold words never seen in training.
+    """
+    table = train_model1(hyp, other, iterations=iterations)
+    oracle = model1_oracle.train_model1(hyp, other, iterations=iterations)
+    assert table.log_likelihood_history == oracle.log_likelihood_history
+    oracle_pairs = [(h, o) for o, row in oracle.t.items() for h in row]
+    assert len(table.pair_keys) == len(oracle_pairs)
+    for h, o in oracle_pairs:
+        assert table.prob(h, o) == oracle.t[o][h], (h, o)
+    for h_sent, o_sent in [*zip(hyp, other), *probes]:
+        assert viterbi_align(table, h_sent, o_sent) == model1_oracle.viterbi_align(
+            oracle, h_sent, o_sent
+        )
+    return table, oracle
+
+
+@st.composite
+def bitexts(draw):
+    """1-6 pairs over 2-3-word vocabularies, so words repeat on both
+    sides and t values tie exactly; either side may be empty."""
+    hyp_words = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    other_words = ["x", "y", "a"][: draw(st.integers(2, 3))]
+    n = draw(st.integers(1, 6))
+
+    def side(words):
+        line = st.lists(st.sampled_from(words), max_size=6).map(" ".join)
+        return make_corpus(draw(st.lists(line, min_size=n, max_size=n)))
+
+    return side(hyp_words), side(other_words)
+
+
+@EXACT
+@given(bitexts(), st.integers(1, 8))
+def test_equals_dict_oracle_on_tiny_vocabularies(bitext, iterations):
+    hyp, other = bitext
+    if not any(h.tokens and o.tokens for h, o in zip(hyp, other)):
+        for train in (train_model1, model1_oracle.train_model1):
+            with pytest.raises(DataError):
+                train(hyp, other, iterations=iterations)
+        return
+    probes = [
+        (make_sentence("a zzz b a"), make_sentence("x y zzz")),  # unseen on both sides
+        (make_sentence("zzz"), make_sentence("x")),
+        (make_sentence("b a"), make_sentence("")),
+        (make_sentence(""), make_sentence("y x")),
+        (make_sentence("x a"), make_sentence("a b")),  # words from the wrong side
+    ]
+    table, oracle = assert_same_as_oracle(hyp, other, iterations, probes)
+    # every word pair, seen together or not, NULL and an unseen word included
+    for h in ("a", "b", "c", "x", "zzz"):
+        for o in (NULL, "x", "y", "a", "b", "zzz"):
+            assert table.prob(h, o) == oracle.prob(h, o), (h, o)
+
+
+@pytest.mark.parametrize("checkpoint", ["000100", "000200", "000300"])
+@pytest.mark.parametrize("side", ["reference", "source"])
+def test_equals_dict_oracle_on_fixture_run(checkpoint, side):
+    run = load_run(DATA_DIR / "run3")
+    hyp = next(c.hypotheses for c in run.checkpoints if c.checkpoint_id == checkpoint)
+    other = run.reference if side == "reference" else run.source
+    probes = list(zip(run.reference, run.source))  # words of the wrong side
+    assert_same_as_oracle(hyp, other, 10, probes)
+
+
+def test_equals_dict_oracle_on_seeded_bitexts():
+    # with np.log in place of math.log, 3 of these 400 histories differ
+    # in the last bit; most single-row differences vanish in the sum
+    rng = SplitMix64(1)
+
+    def line(prefix, vocab):
+        return " ".join(f"{prefix}{rng.randrange(vocab)}" for _ in range(1 + rng.randrange(10)))
+
+    for _ in range(400):
+        hyp = make_corpus([line("h", 6) for _ in range(8)])
+        other = make_corpus([line("o", 20) for _ in range(8)])
+        assert_same_as_oracle(hyp, other, 5)

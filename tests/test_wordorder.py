@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlens.align import Alignment
 from mtlens.corpus import AnalysisRun, CheckpointRun
@@ -247,3 +249,18 @@ def test_levenshtein_basics():
     assert levenshtein([], []) == 0
     assert levenshtein(["a"], []) == 1
     assert levenshtein("kitten", "sitting") == 3
+
+
+def tokens_of_length(n):
+    return st.lists(st.sampled_from("abc"), min_size=n, max_size=n)
+
+
+# lengths drawn first, so patterns past 64 tokens (more than one
+# machine word of bit-vector) come up as often as short ones
+LENGTHS = st.integers(0, 150).flatmap(tokens_of_length)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(LENGTHS, LENGTHS)
+def test_levenshtein_matches_dp_oracle(a, b):
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
