@@ -12,7 +12,10 @@ preserved.
 
 import os
 import unicodedata
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError
 
@@ -72,6 +75,25 @@ def read_lines(path):
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
                 ) from exc
             yield lineno, text
+
+
+def parse_rows(rows, ncols):
+    """Parse rows of space-separated decimals as one (len(rows), ncols) array.
+
+    np.loadtxt parses the whole block at once. The result is None, for
+    the caller to parse row by row with float(), on any ValueError or
+    warning, or on any other shape: np.loadtxt rejects `1_0` and
+    non-ASCII digits, which float() accepts, and skips blank rows. Where
+    np.loadtxt accepts every row, float() gives the same values bit for
+    bit, so the block parser changes no result and no error message.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            block = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return block if block.shape == (len(rows), ncols) else None
 
 
 def load_corpus(path, name: str | None = None) -> Corpus:

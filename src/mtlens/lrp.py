@@ -1,7 +1,11 @@
 """Layer-wise relevance propagation through the encoder-decoder.
 
-Relevance is seeded as 1.0 on the top-1 logit of a decoding step and
-redistributed backward to the input embeddings by one routine,
+Each sentence pair is teacher-forced once: one forward pass over the
+source and [BOS] + the target minus its last token. With the causal
+mask, decoder row t-1 of that pass is what a pass over step t's prefix
+alone would compute, so step t's top-1 logit is the argmax of row t-1
+of dec_out @ out_w + out_b. Relevance is seeded as 1.0 on that logit
+and redistributed backward to the input embeddings by one routine,
 _layer_relevance, which walks each layer's sublayer table (see
 transformer.py) from the last pair to the first. Propagation rules:
 
@@ -17,6 +21,15 @@ transformer.py) from the last pair to the first. Propagation rules:
   so each unit keeps only the share of its own linear term;
 * ReLU passes relevance through unchanged.
 
+Once the activations are cached every rule is linear in the relevance,
+so a block of steps runs backward together, one step per index of a
+leading batch axis; BLOCK_ELEMENTS caps the block so the batched
+arrays stay small. Decoder rows at or past a step stay exact zeros in
+that step's relevance: its seed is 0 there, every rule maps a zero row
+to a zero row, and the masked attention probabilities are exactly 0,
+so no later row passes anything to an earlier one. The results differ
+from one pass per step only by floating-point rounding.
+
 Conservation is not enforced per layer. After the backward pass each
 input token's contribution is aggregated over its embedding neurons
 (position encoding included) with negative neuron relevances clipped
@@ -28,7 +41,9 @@ construction. The BOS marker feeding the decoder is excluded from
 that set. At step 1 the target side is empty, so the source carries
 all relevance.
 
-Raw signed per-token sums are kept on each record for diagnostics.
+A NumericError names the first step whose prefix pass is non-finite,
+whose logits are non-finite or whose relevance is degenerate. Raw
+signed per-token sums are kept on each record for diagnostics.
 """
 
 from dataclasses import dataclass
@@ -41,6 +56,9 @@ from .transformer import BOS_ID, DECODER_LAYER, ENCODER_LAYER, TransformerModel,
 from .transformer import _heads, _unheads, forward
 
 EPS = 1e-6
+# elements of one relevance array per backward batch: a block of steps
+# holds about (max(source, target length) x max(dim, ffn)) per step
+BLOCK_ELEMENTS = 1 << 17
 
 
 def _stab(z):
@@ -50,9 +68,14 @@ def _stab(z):
 def linear_relevance(x, w, z, rel_out):
     """Epsilon-rule backward through z = x @ w (+ bias).
 
-    x: (..., in), w: (in, out), z and rel_out: (..., out).
+    x: (..., in), w: (in, out), z and rel_out: (..., out); rel_out may
+    have leading batch axes beyond z's.
     """
-    return x * ((rel_out / _stab(z)) @ np.transpose(w))
+    scaled = rel_out / _stab(z)
+    # one 2-D product: numpy runs a broadcast product with a transposed
+    # operand an order of magnitude slower than this
+    back = scaled.reshape(-1, scaled.shape[-1]) @ w.T
+    return x * back.reshape(scaled.shape[:-1] + w.shape[:1])
 
 
 def _residual_split(a, b, rel_sum):
@@ -133,21 +156,33 @@ class RelevanceRecord:
         return float(self.target_rel.sum())
 
 
-def lrp_backward(model: TransformerModel, cache, target: int) -> RelevanceRecord:
-    """Propagate relevance of the given logit back to the input tokens."""
-    logits = cache["logits"]
-    if not 0 <= target < model.vocab_size:
-        raise DataError(f"logit index {target} out of range")
+def lrp_backward(
+    model: TransformerModel, cache, logits, first_step: int, targets
+) -> list[RelevanceRecord]:
+    """Relevance records for consecutive steps of one teacher-forced pass.
 
+    cache is forward's cache of the pass, logits holds the logits of
+    every decoder row, and step first_step + i seeds 1.0 on logit
+    targets[i] of decoder row first_step + i - 1. The steps run as one
+    batch on a leading axis. The first degenerate step raises a
+    NumericError naming it.
+    """
+    for target in targets:
+        if not 0 <= target < model.vocab_size:
+            raise DataError(f"logit index {target} out of range")
     dec_out = cache["dec_out"]
-    t_dec = dec_out.shape[0]
-    last = dec_out[-1]
-    z = logits[target]
-    rel_last = last * model.weights["out_w"][:, target] / _stab(np.array(z))
+    last_step = first_step + len(targets) - 1
+    if first_step < 1 or last_step > dec_out.shape[0]:
+        raise DataError(f"steps {first_step}..{last_step} out of range")
+    rows = np.arange(first_step - 1, last_step)
 
-    rel_dec = np.zeros_like(dec_out)
-    rel_dec[-1] = rel_last
-    rel_enc_total = np.zeros_like(cache["enc_out"])
+    batch = np.arange(len(rows))
+    z = logits[rows, targets]
+    rel_dec = np.zeros((len(rows),) + dec_out.shape)
+    rel_dec[batch, rows] = (
+        dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
+    )
+    rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
     for i in reversed(range(model.layers)):
         rel_dec, rel_enc = _layer_relevance(
             model, f"dec{i}", DECODER_LAYER, cache["dec_layers"][i], rel_dec
@@ -157,30 +192,57 @@ def lrp_backward(model: TransformerModel, cache, target: int) -> RelevanceRecord
     rel = rel_enc_total
     for i in reversed(range(model.layers)):
         rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
-    rel_src_embed = rel
 
-    raw_source = rel_src_embed.sum(axis=1)
-    raw_target_all = rel_dec.sum(axis=1)  # includes BOS at position 0
-    raw_target = raw_target_all[1:]  # real prefix tokens y_1 .. y_{t-1}
+    records = []
+    for b, row in enumerate(rows):
+        step = int(row) + 1
+        rel_src_embed = rel[b]
+        rel_prefix = rel_dec[b, 1:step]  # y_1 .. y_{t-1}: BOS and rows at or past t are out
+        raw_source = rel_src_embed.sum(axis=1)
+        raw_target = rel_prefix.sum(axis=1)
+        # clip negative neuron relevances while aggregating each token; a
+        # contribution is zero only when every one of its neurons is non-positive
+        clipped_source = np.clip(rel_src_embed, 0.0, None).sum(axis=1)
+        clipped_target = np.clip(rel_prefix, 0.0, None).sum(axis=1)
+        clipped = np.concatenate([clipped_source, clipped_target])
+        total = clipped.sum()
+        if total <= 0.0:
+            raise NumericError(f"step {step}: degenerate relevance: all token contributions <= 0")
+        normalized = clipped / total
+        n_src = raw_source.shape[0]
+        records.append(
+            RelevanceRecord(
+                step=step,
+                source_rel=normalized[:n_src],
+                target_rel=normalized[n_src:],
+                raw_source_rel=raw_source,
+                raw_target_rel=raw_target,
+                predicted_id=int(targets[b]),
+            )
+        )
+    return records
 
-    # clip negative neuron relevances while aggregating each token; a
-    # contribution is zero only when every one of its neurons is non-positive
-    clipped_source = np.clip(rel_src_embed, 0.0, None).sum(axis=1)
-    clipped_target = np.clip(rel_dec[1:], 0.0, None).sum(axis=1)
-    clipped = np.concatenate([clipped_source, clipped_target])
-    total = clipped.sum()
-    if total <= 0.0:
-        raise NumericError("degenerate relevance: all token contributions <= 0")
-    normalized = clipped / total
-    n_src = raw_source.shape[0]
-    return RelevanceRecord(
-        step=t_dec,
-        source_rel=normalized[:n_src],
-        target_rel=normalized[n_src:],
-        raw_source_rel=raw_source,
-        raw_target_rel=raw_target,
-        predicted_id=int(target),
-    )
+
+def _clean_pass(model, src_ids, prefix):
+    """Forward over the longest prefix of prefix whose steps all pass.
+
+    Returns that pass's cache (None when step 1 fails) and the
+    NumericError of the first failing step (None when every step passes).
+    """
+    try:
+        return forward(model, src_ids, prefix)[1], None
+    except NumericError as exc:
+        failure = NumericError(f"step {len(prefix)}: {exc}")
+    # a non-finite decoder row spills NaN into the rows before it (0 * inf
+    # through the masked attention weights), so the full pass cannot say
+    # which step failed first; the prefix passes of the steps can
+    cache = None
+    for t in range(1, len(prefix)):
+        try:
+            cache = forward(model, src_ids, prefix[:t])[1]
+        except NumericError as exc:
+            return cache, NumericError(f"step {t}: {exc}")
+    return cache, failure
 
 
 def contributions(
@@ -193,15 +255,23 @@ def contributions(
         raise DataError("empty target sentence")
     src_ids = vocab.encode(src.tokens)
     tgt_ids = vocab.encode(tgt.tokens)
+    cache, failure = _clean_pass(model, src_ids, [BOS_ID] + tgt_ids[:-1])
     records = []
-    for t in range(1, len(tgt_ids) + 1):
-        prefix = [BOS_ID] + tgt_ids[: t - 1]
-        try:
-            logits, cache = forward(model, src_ids, prefix)
-            top1 = int(np.argmax(logits))
-            records.append(lrp_backward(model, cache, top1))
-        except NumericError as exc:
-            raise NumericError(f"step {t}: {exc}") from exc
+    if cache is not None:
+        w = model.weights
+        logits = cache["dec_out"] @ w["out_w"] + w["out_b"]
+        finite = np.isfinite(logits).all(axis=1)
+        steps = len(finite) if finite.all() else int(np.argmin(finite))
+        if steps < len(finite):
+            failure = NumericError(f"step {steps + 1}: non-finite logits in forward pass")
+        top1 = logits[:steps].argmax(axis=1)
+        per_step = max(len(src_ids), len(finite)) * max(model.dim, model.ffn)
+        block = max(1, BLOCK_ELEMENTS // per_step)
+        for start in range(0, steps, block):
+            targets = top1[start : start + block]
+            records.extend(lrp_backward(model, cache, logits, start + 1, targets))
+    if failure is not None:
+        raise failure
     return records
 
 

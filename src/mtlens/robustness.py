@@ -57,8 +57,14 @@ def robustness_report(
     hyp_clean: Corpus,
     hyp_perturbed: Corpus,
     ref: Corpus,
+    tq_clean: BleuScore | None = None,
 ) -> RobustnessReport:
-    tq_clean = corpus_bleu(hyp_clean, ref)
+    """Robustness and consistency of one checkpoint under one perturbation.
+
+    tq_clean is corpus_bleu(hyp_clean, ref) when the caller already has it.
+    """
+    if tq_clean is None:
+        tq_clean = corpus_bleu(hyp_clean, ref)
     tq_perturbed = corpus_bleu(hyp_perturbed, ref)
     if tq_clean.score == 0.0:
         raise DataError(
@@ -85,6 +91,7 @@ def robustness_suite(run: AnalysisRun, perturbed_runs: dict) -> list[RobustnessR
     must pair with the clean run's.
     """
     clean_by_id = {c.checkpoint_id: c for c in run.checkpoints}
+    clean_bleu = {}  # checkpoint id -> clean BLEU, on first use so errors keep their order
     reports = []
     for kind in sorted(perturbed_runs):
         pert_run = perturbed_runs[kind]
@@ -95,13 +102,17 @@ def robustness_suite(run: AnalysisRun, perturbed_runs: dict) -> list[RobustnessR
                 f"perturbation {kind!r}: unpaired checkpoint ids {missing}"
             )
         for ckpt in run.checkpoints:
+            cid = ckpt.checkpoint_id
+            if cid not in clean_bleu:
+                clean_bleu[cid] = corpus_bleu(ckpt.hypotheses, run.reference)
             reports.append(
                 robustness_report(
-                    ckpt.checkpoint_id,
+                    cid,
                     kind,
                     ckpt.hypotheses,
-                    pert_by_id[ckpt.checkpoint_id].hypotheses,
+                    pert_by_id[cid].hypotheses,
                     run.reference,
+                    clean_bleu[cid],
                 )
             )
     return reports

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import parse_rows, read_lines
 from .errors import DataError
 from .wordorder import mean_or_none
 
@@ -134,27 +134,30 @@ def load_embeddings(path) -> EmbeddingSet:
         raise DataError(f"{path}: bad header {header!r}") from exc
     if count < 0 or dim < 1:
         raise DataError(f"{path}: bad header counts {count} {dim}")
-    rows = []
-    for lineno, line in lines:
-        if len(rows) == count:  # only blank lines may follow the rows
-            if line.strip():
-                raise DataError(f"{path}: line {lineno}: more rows than the header's {count}")
-            continue
+    head = [item for _, item in zip(range(count), lines)]
+    arr = parse_rows([line for _, line in head], dim) if len(head) == count else None
+    if arr is None:  # float() accepts more and names the bad line
+        rows = []
+        for lineno, line in head:
+            try:
+                row = [float(v) for v in line.split()]
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad number") from exc
+            if len(row) != dim:
+                raise DataError(
+                    f"{path}: line {lineno}: expected {dim} values, got {len(row)}"
+                )
+            rows.append(row)
+        if len(rows) < count:
+            raise DataError(f"{path}: header promises {count} rows, file has {len(rows)}")
+    for lineno, line in lines:  # only blank lines may follow the rows
+        if line.strip():
+            raise DataError(f"{path}: line {lineno}: more rows than the header's {count}")
+    if arr is None:
         try:
-            row = [float(v) for v in line.split()]
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: bad number") from exc
-        if len(row) != dim:
-            raise DataError(
-                f"{path}: line {lineno}: expected {dim} values, got {len(row)}"
-            )
-        rows.append(row)
-    if len(rows) < count:
-        raise DataError(f"{path}: header promises {count} rows, file has {len(rows)}")
-    try:
-        arr = np.array(rows, dtype=np.float64).reshape(count, dim)
-    except ValueError as exc:  # a dim too large for numpy, with no rows
-        raise DataError(f"{path}: bad header counts {count} {dim}") from exc
+            arr = np.array(rows, dtype=np.float64).reshape(count, dim)
+        except ValueError as exc:  # a dim too large for numpy, with no rows
+            raise DataError(f"{path}: bad header counts {count} {dim}") from exc
     bad = _nonfinite_row(arr)
     if bad is not None:
         raise DataError(f"{path}: line {bad + 2}: non-finite value")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import parse_rows, read_lines
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -216,13 +216,18 @@ def load_model(path) -> TransformerModel:
             if parts[0] == "array" and len(parts) > 2:
                 name = parts[1]
                 shape = tuple(int(d) for d in parts[2:])
-                rows = []
-                for _ in range(1 if len(shape) == 1 else shape[0]):
-                    lineno, row = next(lines, (lineno, None))
-                    if row is None:
+                nrows = 1 if len(shape) == 1 else shape[0]
+                block = [item for _, item in zip(range(nrows), lines)]
+                ncols = math.prod(shape[1:]) if len(shape) > 1 else shape[0]
+                arr = parse_rows([row for _, row in block], ncols) if len(block) == nrows else None
+                if arr is None:  # float() accepts more and names the bad line
+                    rows = []
+                    for lineno, row in block:
+                        rows.append([float(v) for v in row.split()])
+                    if len(block) < nrows:
                         raise DataError(f"{path}: array {name} cut short by end of file")
-                    rows.append([float(v) for v in row.split()])
-                weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
+                    arr = np.array(rows, dtype=np.float64)
+                weights[name] = arr.reshape(shape)
             elif len(parts) == 2:
                 config[parts[0]] = int(parts[1])
             else:
@@ -273,13 +278,13 @@ def _softmax(scores):
 
 
 def _heads(x, heads):
-    t, d = x.shape
-    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)  # (H, T, dh)
+    *lead, t, d = x.shape
+    return x.reshape(*lead, t, heads, d // heads).swapaxes(-3, -2)  # (..., H, T, dh)
 
 
 def _unheads(x):
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
+    *lead, h, t, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, t, h * dh)
 
 
 def _attention(model, prefix, q_in, kv_in, causal):

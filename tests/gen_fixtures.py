@@ -6,8 +6,9 @@ Run from the repository root:
 
 Everything is seeded, so reruns reproduce the same bytes. Golden
 logits come from the independent reference forward pass in
-naive_transformer.py; the relevance-trace golden is a frozen
-regression snapshot of the production pipeline.
+naive_transformer.py. golden_lrp.json is not regenerated: it is a
+frozen snapshot of the relevance pipeline as it ran one pass per step,
+and it stays the oracle the one-pass pipeline must meet at atol 1e-6.
 """
 
 import json
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from mtlens.corpus import Corpus, Sentence, load_corpus, save_corpus
-from mtlens.lrp import contributions
 from mtlens.rng import SplitMix64
 from mtlens.semsim import embedding_set, save_embeddings
 from mtlens.transformer import build_vocab, init_model, load_model, save_model, save_vocab
@@ -133,17 +133,6 @@ def main():
         )
     with open(DATA / "golden_logits.json", "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
-        fh.write("\n")
-
-    records = contributions(reloaded, src_corpus[0], ref_corpus[0], vocab)
-    trace = {
-        "src": src_corpus[0].raw,
-        "tgt": ref_corpus[0].raw,
-        "r_source_per_step": [rec.r_source for rec in records],
-        "source_rel_step1": [float(v) for v in records[0].source_rel],
-    }
-    with open(DATA / "golden_lrp.json", "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=1)
         fh.write("\n")
 
     print("fixtures written to", DATA)

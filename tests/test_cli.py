@@ -231,6 +231,42 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_numeric_failure_names_the_oracles_step(tmp_path, capsys):
+    import warnings
+
+    import lrp_oracle
+    from mtlens.corpus import load_corpus
+    from mtlens.errors import NumericError
+    from mtlens.transformer import init_model, load_model, load_vocab, save_model
+
+    # only the target's third token overflows, so steps 1-3 pass and the
+    # full teacher-forced pass is non-finite in every decoder row
+    m = init_model(layers=1, heads=1, dim=4, ffn=8, vocab_size=8, seed=0)
+    m.weights["embedding"][5] = 1e308
+    wts = tmp_path / "hot.wts"
+    save_model(m, wts)
+    vocab = tmp_path / "v.txt"
+    write(vocab, "<bos>\n<eos>\n<unk>\n<pad>\nka\nra\nmi\n")
+    src = tmp_path / "s.txt"
+    tgt = tmp_path / "t.txt"
+    write(src, "ka mi\n")
+    write(tgt, "mi mi ra mi ka\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericError) as oracle:
+            lrp_oracle.contributions(
+                load_model(wts), load_corpus(src)[0], load_corpus(tgt)[0], load_vocab(vocab)
+            )
+        code, out, err = run_cli(
+            capsys, "lrp", "--model", str(wts), "--vocab", str(vocab),
+            str(src), str(tgt),
+        )
+    assert str(oracle.value) == "step 4: non-finite activation in decoder"
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {oracle.value}\n"
+
+
 def _weights(edit):
     return edit((DATA_DIR / "fixture.wts").read_text(encoding="utf-8")).encode("utf-8")
 

@@ -20,8 +20,9 @@ from mtlens.cli import main
 from mtlens.corpus import load_corpus, load_run
 from mtlens.errors import DataError
 from mtlens.semsim import load_embeddings
-from mtlens.transformer import load_model, load_vocab
+from mtlens.transformer import init_model, load_model, load_vocab, save_model
 
+import loader_oracle
 from conftest import DATA_DIR
 
 RUN = DATA_DIR / "run3"
@@ -146,3 +147,113 @@ def test_cli_report_exit_code_contract(data):
         code, err = run_main(["report", str(run), "--iters", "2", "--out", str(root / "o.json")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# -- the block parser against the float() row parsers -------------------------
+
+
+def _replace(line, i, text):
+    tokens = line.split(" ")
+    tokens[i % len(tokens)] = text
+    return " ".join(tokens)
+
+
+# edits of one value row: each makes np.loadtxt fail, skip a row or read
+# a value that float() reads too, so the loaders must fall back or agree
+ROW_EDITS = (
+    lambda line, i: _replace(line, i, "1_0"),
+    lambda line, i: _replace(line, i, "0.2_5e1"),
+    lambda line, i: _replace(line, i, "\u0663.5"),  # ARABIC-INDIC DIGIT THREE
+    lambda line, i: _replace(line, i, "\uff17"),  # FULLWIDTH DIGIT SEVEN
+    lambda line, i: line.replace(" ", "\xa0", 1 + i % 3),
+    lambda line, i: line.replace(" ", "\u2003\x1c", 1),
+    lambda line, i: "",
+    lambda line, i: " ".join(line.split(" ")[:-1]),
+    lambda line, i: line + " 0.5",
+    lambda line, i: _replace(line, i, "#"),
+    lambda line, i: "#" + line,
+    lambda line, i: _replace(line, i, ("nan", "-inf", "Infinity", "1e999")[i % 4]),
+    lambda line, i: _replace(line, i, "-0.0"),
+    lambda line, i: "\t" + line.replace(" ", "  ") + " \v",
+)
+
+
+def tiny_weights() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.wts"
+        save_model(init_model(layers=1, heads=1, dim=4, ffn=4, vocab_size=6, seed=5), path)
+        return path.read_bytes()
+
+
+def is_weight_row(line: str) -> bool:
+    return bool(line) and line.split()[0] not in (
+        "mtlens-weights", "layers", "heads", "dim", "ffn", "vocab", "array"
+    )
+
+
+BLOCK_CASES = {
+    "model": (load_model, loader_oracle.load_model, tiny_weights(), is_weight_row),
+    "embeddings": (
+        load_embeddings,
+        loader_oracle.load_embeddings,
+        (DATA_DIR / "emb3" / "ref.emb").read_bytes(),
+        lambda line: bool(line) and len(line.split()) != 2,
+    ),
+}
+
+
+@st.composite
+def edited(draw, data: bytes, is_row):
+    lines = data.decode("utf-8").split("\n")
+    rows = [k for k, line in enumerate(lines) if is_row(line)]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(rows))
+        lines[k] = draw(st.sampled_from(ROW_EDITS))(lines[k], draw(st.integers(0, 50)))
+    out = "\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        out = out[: draw(st.integers(0, len(out)))]
+    return out
+
+
+def outcome(loader, path):
+    """Every array's shape and bits, or the DataError text, and what went to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = loader(path)
+        except DataError as exc:
+            result = str(exc)
+        else:
+            arrays = got.weights if hasattr(got, "weights") else {"vectors": got.vectors}
+            result = {name: (a.shape, a.tobytes()) for name, a in arrays.items()}
+    return result, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+@settings(PROPERTY, max_examples=80)
+@given(data=st.data())
+def test_block_parser_matches_row_parser(kind, data):
+    loader, oracle, fixture, is_row = BLOCK_CASES[kind]
+    with scratch_dir() as root:
+        path = root / f"input.{kind}"
+        path.write_bytes(data.draw(edited(fixture, is_row)))
+        got, err, caught = outcome(loader, path)
+        want, _, _ = outcome(oracle, path)
+    assert got == want
+    assert err == "" and caught == []
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_block_parser_reads_fixture_like_row_parser(kind):
+    loader, oracle, fixture, _ = BLOCK_CASES[kind]
+    path = {"model": DATA_DIR / "fixture.wts", "embeddings": DATA_DIR / "emb3" / "src.emb"}[kind]
+    for p in (path, None):
+        with scratch_dir() as root:
+            if p is None:
+                p = root / "tiny"
+                p.write_bytes(fixture)
+            got, err, caught = outcome(loader, p)
+            assert got == outcome(oracle, p)[0]
+            assert not isinstance(got, str)
+            assert err == "" and caught == []

@@ -1,9 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lrp_oracle
+from mtlens import lrp
 from mtlens.errors import DataError
 from mtlens.lrp import (
     contribution_stats,
@@ -101,9 +106,11 @@ def test_determinism_bitwise():
 
 def test_lrp_backward_bad_target_index():
     m = toy_model(seed=1)
-    _, cache = forward(m, [4, 5], [0])
-    with pytest.raises(DataError):
-        lrp_backward(m, cache, len(VOCAB))
+    logits, cache = forward(m, [4, 5], [0])
+    with pytest.raises(DataError, match="logit index"):
+        lrp_backward(m, cache, logits[None, :], 1, [len(VOCAB)])
+    with pytest.raises(DataError, match="steps 2..2 out of range"):
+        lrp_backward(m, cache, logits[None, :], 2, [0])
 
 
 def test_oov_tokens_map_to_unk():
@@ -205,3 +212,52 @@ def test_golden_relevance_trace_regression():
     step1 = records[0].source_rel
     for g, w in zip(step1, golden["source_rel_step1"]):
         assert g == pytest.approx(w, abs=1e-6)
+
+
+# -- the one-pass records against the per-step oracle -------------------------
+
+FIELDS = ("source_rel", "target_rel", "raw_source_rel", "raw_target_rel")
+# budgets giving blocks of one step, a few steps, and the production size
+BUDGETS = (1, 200, 1000, lrp.BLOCK_ELEMENTS)
+
+
+def assert_matches_oracle(model, src, tgt, vocab, budget):
+    with mock.patch.object(lrp, "BLOCK_ELEMENTS", budget):
+        got = contributions(model, src, tgt, vocab)
+    want = lrp_oracle.contributions(model, src, tgt, vocab)
+    assert [(r.step, r.predicted_id) for r in got] == [(r.step, r.predicted_id) for r in want]
+    for a, b in zip(got, want):
+        for name in FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape, name
+            assert np.all(np.abs(x - y) <= 1e-8), name
+
+
+# a few words and two out-of-vocabulary ones, so sentences repeat tokens
+sentences = st.lists(
+    st.sampled_from(WORDS[:6] + ("oov1", "oov2")), min_size=1, max_size=12
+).map(lambda toks: make_sentence(" ".join(toks)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    seed=st.integers(0, 1 << 16),
+    src=sentences,
+    tgt=sentences,
+    budget=st.sampled_from(BUDGETS),
+)
+def test_one_pass_matches_per_step_oracle(layers, heads, seed, src, tgt, budget):
+    model = toy_model(seed=seed, layers=layers, heads=heads)
+    assert_matches_oracle(model, src, tgt, VOCAB, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_fixture_pair_matches_per_step_oracle(budget):
+    model = load_model(DATA_DIR / "fixture.wts")
+    vocab = load_vocab(DATA_DIR / "vocab.txt")
+    with open(DATA_DIR / "golden_lrp.json", "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    src, tgt = make_sentence(golden["src"]), make_sentence(golden["tgt"])
+    assert_matches_oracle(model, src, tgt, vocab, budget)

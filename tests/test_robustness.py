@@ -3,6 +3,7 @@ import pytest
 from mtlens.corpus import AnalysisRun, CheckpointRun
 from mtlens.errors import DataError
 from mtlens.quality import corpus_bleu
+from mtlens import robustness
 from mtlens.robustness import consistency, robustness_report, robustness_suite
 
 from conftest import make_corpus
@@ -134,3 +135,30 @@ def test_suite_one_word_deleted_matches_components():
     a = corpus_bleu(CLEAN, dropped).score
     b = corpus_bleu(dropped, CLEAN).score
     assert rep.consistency == pytest.approx(2 * a * b / (a + b), abs=1e-9)
+
+
+def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
+    calls = []
+
+    def counting_bleu(hyp, ref):
+        calls.append((hyp, ref))
+        return corpus_bleu(hyp, ref)
+
+    monkeypatch.setattr(robustness, "corpus_bleu", counting_bleu)
+    other = make_corpus([s.raw for s in WORSE], "other")
+    other_perturbed = make_corpus([s.raw for s in REF], "other perturbed")
+    run = _run({"c1": CLEAN, "c2": other})
+    kinds = {kind: _run({"c1": WORSE, "c2": other_perturbed}) for kind in ("a", "b", "c")}
+    reports = robustness_suite(run, kinds)
+    assert len(reports) == 6
+    clean_calls = [h.name for h, r in calls if (h is CLEAN or h is other) and r is REF]
+    assert clean_calls == ["clean", "other"]
+    # besides, one perturbed BLEU and two consistency directions per report
+    assert len(calls) == 2 + 3 * len(reports)
+    monkeypatch.undo()
+    want = [
+        robustness_report(cid, kind, ckpt, pert.checkpoints[i].hypotheses, REF)
+        for kind, pert in sorted(kinds.items())
+        for i, (cid, ckpt) in enumerate((("c1", CLEAN), ("c2", other)))
+    ]
+    assert reports == want
