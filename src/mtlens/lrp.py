@@ -157,14 +157,13 @@ class RelevanceRecord:
 
 
 def lrp_backward(
-    model: TransformerModel, cache, logits, first_step: int, targets
+    model: TransformerModel, cache, first_step: int, targets
 ) -> list[RelevanceRecord]:
     """Relevance records for consecutive steps of one teacher-forced pass.
 
-    cache is forward's cache of the pass, logits holds the logits of
-    every decoder row, and step first_step + i seeds 1.0 on logit
-    targets[i] of decoder row first_step + i - 1. The steps run as one
-    batch on a leading axis. The first degenerate step raises a
+    cache is forward's cache of the pass; step first_step + i seeds 1.0
+    on logit targets[i] of decoder row first_step + i - 1. The steps run
+    as one batch on a leading axis. The first degenerate step raises a
     NumericError naming it.
     """
     for target in targets:
@@ -177,7 +176,7 @@ def lrp_backward(
     rows = np.arange(first_step - 1, last_step)
 
     batch = np.arange(len(rows))
-    z = logits[rows, targets]
+    z = cache["logits"][rows, targets]
     rel_dec = np.zeros((len(rows),) + dec_out.shape)
     rel_dec[batch, rows] = (
         dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
@@ -258,18 +257,12 @@ def contributions(
     cache, failure = _clean_pass(model, src_ids, [BOS_ID] + tgt_ids[:-1])
     records = []
     if cache is not None:
-        w = model.weights
-        logits = cache["dec_out"] @ w["out_w"] + w["out_b"]
-        finite = np.isfinite(logits).all(axis=1)
-        steps = len(finite) if finite.all() else int(np.argmin(finite))
-        if steps < len(finite):
-            failure = NumericError(f"step {steps + 1}: non-finite logits in forward pass")
-        top1 = logits[:steps].argmax(axis=1)
-        per_step = max(len(src_ids), len(finite)) * max(model.dim, model.ffn)
+        top1 = cache["logits"].argmax(axis=1)
+        per_step = max(len(src_ids), len(tgt_ids)) * max(model.dim, model.ffn)
         block = max(1, BLOCK_ELEMENTS // per_step)
-        for start in range(0, steps, block):
+        for start in range(0, len(top1), block):
             targets = top1[start : start + block]
-            records.extend(lrp_backward(model, cache, logits, start + 1, targets))
+            records.extend(lrp_backward(model, cache, start + 1, targets))
     if failure is not None:
         raise failure
     return records

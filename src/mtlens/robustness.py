@@ -57,14 +57,13 @@ def robustness_report(
     hyp_clean: Corpus,
     hyp_perturbed: Corpus,
     ref: Corpus,
-    tq_clean: BleuScore | None = None,
+    tq_clean: BleuScore,
 ) -> RobustnessReport:
     """Robustness and consistency of one checkpoint under one perturbation.
 
-    tq_clean is corpus_bleu(hyp_clean, ref) when the caller already has it.
+    tq_clean is corpus_bleu(hyp_clean, ref), which the caller computes
+    once per checkpoint.
     """
-    if tq_clean is None:
-        tq_clean = corpus_bleu(hyp_clean, ref)
     tq_perturbed = corpus_bleu(hyp_perturbed, ref)
     if tq_clean.score == 0.0:
         raise DataError(

@@ -336,7 +336,12 @@ def _layer(model, prefix, sublayers, x, memory=None):
 
 
 def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
-    """One decoding step; returns (logits over vocab, activation cache)."""
+    """One pass over a source and a target prefix.
+
+    Returns the last decoder row's logits over the vocab (the next
+    step's) and the activation cache, whose "logits" holds the logits
+    of every decoder row.
+    """
     src_ids = list(src_ids)
     tgt_prefix_ids = list(tgt_prefix_ids)
     if not src_ids:
@@ -365,8 +370,7 @@ def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
     if not np.all(np.isfinite(dec_out)):
         raise NumericError("non-finite activation in decoder")
 
-    last = dec_out[-1]
-    logits = last @ model.weights["out_w"] + model.weights["out_b"]
+    logits = dec_out @ model.weights["out_w"] + model.weights["out_b"]
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
 
@@ -377,4 +381,4 @@ def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
         "dec_out": dec_out,
         "logits": logits,
     }
-    return logits, cache
+    return logits[-1], cache

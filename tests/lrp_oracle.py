@@ -85,7 +85,7 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
 
 def lrp_backward(model, cache, target: int) -> RelevanceRecord:
     """Propagate relevance of the given logit back to the input tokens."""
-    logits = cache["logits"]
+    logits = cache["logits"][-1]
     if not 0 <= target < model.vocab_size:
         raise DataError(f"logit index {target} out of range")
 

@@ -106,11 +106,11 @@ def test_determinism_bitwise():
 
 def test_lrp_backward_bad_target_index():
     m = toy_model(seed=1)
-    logits, cache = forward(m, [4, 5], [0])
+    _, cache = forward(m, [4, 5], [0])
     with pytest.raises(DataError, match="logit index"):
-        lrp_backward(m, cache, logits[None, :], 1, [len(VOCAB)])
+        lrp_backward(m, cache, 1, [len(VOCAB)])
     with pytest.raises(DataError, match="steps 2..2 out of range"):
-        lrp_backward(m, cache, logits[None, :], 2, [0])
+        lrp_backward(m, cache, 2, [0])
 
 
 def test_oov_tokens_map_to_unk():

@@ -36,18 +36,19 @@ WORSE = make_corpus(
 
 
 def test_identical_corpora_unit_robustness():
-    assert robustness_report("c1", "k", CLEAN, CLEAN, REF).robustness == pytest.approx(1.0)
+    rep = robustness_report("c1", "k", CLEAN, CLEAN, REF, corpus_bleu(CLEAN, REF))
+    assert rep.robustness == pytest.approx(1.0)
 
 
 def test_ratio_matches_component_bleu():
     expected = corpus_bleu(WORSE, REF).score / corpus_bleu(CLEAN, REF).score
-    rep = robustness_report("c1", "k", CLEAN, WORSE, REF)
+    rep = robustness_report("c1", "k", CLEAN, WORSE, REF, corpus_bleu(CLEAN, REF))
     assert rep.robustness == pytest.approx(min(1.0, expected))
 
 
 def test_robustness_clamped_when_perturbed_scores_higher():
     # "perturbed" output beats the clean one: raw ratio > 1, clamped to 1
-    rep = robustness_report("c1", "misspelling", WORSE, REF, REF)
+    rep = robustness_report("c1", "misspelling", WORSE, REF, REF, corpus_bleu(WORSE, REF))
     assert rep.raw_ratio > 1.0
     assert rep.robustness == 1.0
     assert rep.clamped is True
@@ -56,7 +57,7 @@ def test_robustness_clamped_when_perturbed_scores_higher():
 def test_robustness_zero_clean_bleu_rejected():
     disjoint = make_corpus(["x y z", "q w e", "r t y"], "disjoint")
     with pytest.raises(DataError):
-        robustness_report("c1", "k", disjoint, CLEAN, REF)
+        robustness_report("c1", "k", disjoint, CLEAN, REF, corpus_bleu(disjoint, REF))
 
 
 def test_consistency_identical():
@@ -157,7 +158,9 @@ def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
     assert len(calls) == 2 + 3 * len(reports)
     monkeypatch.undo()
     want = [
-        robustness_report(cid, kind, ckpt, pert.checkpoints[i].hypotheses, REF)
+        robustness_report(
+            cid, kind, ckpt, pert.checkpoints[i].hypotheses, REF, corpus_bleu(ckpt, REF)
+        )
         for kind, pert in sorted(kinds.items())
         for i, (cid, ckpt) in enumerate((("c1", CLEAN), ("c2", other)))
     ]
