@@ -9,14 +9,25 @@ logits come from the independent reference forward pass in
 naive_transformer.py. golden_lrp.json is not regenerated: it is a
 frozen snapshot of the relevance pipeline as it ran one pass per step,
 and it stays the oracle the one-pass pipeline must meet at atol 1e-6.
+
+golden_cli.json records, for each command in GOLDEN_CLI, the argv,
+exit code, stdout, stderr and the files it wrote, with {DATA} standing
+for this data directory and {OUT} for an empty output directory.
+test_cli.py replays it with COLUMNS=80, so help and usage text wrap
+the same way. Commands marked approx print values that pass through
+BLAS products; the replay compares them as parsed JSON within 1e-12.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from mtlens.cli import main as cli_main
 from mtlens.corpus import Corpus, Sentence, load_corpus, save_corpus
 from mtlens.rng import SplitMix64
 from mtlens.semsim import embedding_set, save_embeddings
@@ -83,6 +94,101 @@ def corpus_embeddings(lines, label):
     return embedding_set(rows)
 
 
+RUN = "{DATA}/run3"
+HYP = RUN + "/checkpoints/000100/hyp.txt"
+REF = RUN + "/ref.txt"
+SRC = RUN + "/src.txt"
+SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
+
+# (argv, approx); commands run in this order, sharing one {OUT} directory
+GOLDEN_CLI = (
+    [([], False), (["--help"], False)]
+    + [([cmd, "--help"], False) for cmd in SUBCOMMANDS]
+    + [([cmd], False) for cmd in SUBCOMMANDS]
+    + [
+        (["bleu", HYP, REF], False),
+        (["bleu", HYP, REF, "--lc", "--format", "text"], False),
+        (["ter", HYP, REF, "--shifts", "--per-sentence"], False),
+        (["ter", HYP, REF, "--format", "text", "--out", "{OUT}/ter.txt"], False),
+        (["ter", "{DATA}/vocab.txt", REF], False),
+        (["ter", "{DATA}/missing.txt", REF], False),
+        (["align", HYP, REF, "--iters", "5", "--out", "{OUT}/hyp.aln"], False),
+        (["align", HYP, SRC, "--iters", "3"], False),
+        (["frs", HYP, REF, "--iters", "5", "--per-sentence"], False),
+        (["frs", HYP, SRC, "--iters", "5", "--format", "text"], False),
+        (["frs", HYP, REF, "--align", "{OUT}/hyp.aln"], False),
+        (["frs", HYP, "{DATA}/vocab.txt"], False),
+        (["frs", SRC, SRC, "--align", "{OUT}/ter.txt"], False),
+        (["perturb", "--kind", "misspelling", "--prob", "0.3", "--seed", "7",
+          REF, "{OUT}/misspelled.txt"], False),
+        (["perturb", "--kind", "case", "--prob", "0.5", "--seed", "7",
+          REF, "{OUT}/cased.txt"], False),
+        (["robust", "--clean", RUN, "--perturbed", RUN, "--perturbed", "misspelling=" + RUN],
+         False),
+        (["robust", "--clean", RUN, "--perturbed", RUN,
+          "--ref", RUN + "/checkpoints/000200/hyp.txt"], False),
+        (["robust", "--clean", RUN, "--perturbed", "case=" + RUN,
+          "--out", "{OUT}/robust.csv"], False),
+        (["rmss", "--k", "2", "{DATA}/emb3/ref.emb",
+          "{DATA}/emb3/checkpoints/000100/hyp.emb",
+          "--per-sentence", "{OUT}/rmss.json"], True),
+        (["rmss", "{DATA}/emb3/src.emb", "{DATA}/emb3/checkpoints/000300/hyp.emb"], True),
+        (["lrp", "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
+          SRC, REF], True),
+        (["lrp", "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
+          SRC, "{DATA}/vocab.txt"], False),
+        (["report", RUN, "--iters", "5", "--csv", "{OUT}/series.csv",
+          "--svg", "{OUT}/series.svg"], False),
+        (["report", RUN, "--metrics", "bleu,ter-vs-src,frs-vs-src,rmss-vs-src,src-entropy",
+          "--iters", "3", "--k", "2", "--lc",
+          "--csv", "{OUT}/series2.csv", "--out", "{OUT}/report.json"], False),
+        (["report", RUN, "--metrics", " , "], False),
+    ]
+)
+
+
+def _snapshot(root):
+    return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def golden_cli():
+    os.environ["COLUMNS"] = "80"
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        swaps = {"{DATA}": str(DATA), "{OUT}": str(out_dir)}
+
+        def fill(text):
+            for key, value in swaps.items():
+                text = text.replace(key, value)
+            return text
+
+        def blank(text):
+            for key, value in swaps.items():
+                text = text.replace(value, key)
+            return text
+
+        for argv, approx in GOLDEN_CLI:
+            before = _snapshot(out_dir)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main([fill(a) for a in argv])
+            after = _snapshot(out_dir)
+            cases.append({
+                "argv": argv,
+                "approx": approx,
+                "exit": code,
+                "stdout": blank(stdout.getvalue()),
+                "stderr": blank(stderr.getvalue()),
+                "files": {name: blank(text) for name, text in after.items()
+                          if before.get(name) != text},
+            })
+    with open(DATA / "golden_cli.json", "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
+
+
 def main():
     DATA.mkdir(exist_ok=True)
 
@@ -135,6 +241,7 @@ def main():
         json.dump(cases, fh, indent=1)
         fh.write("\n")
 
+    golden_cli()
     print("fixtures written to", DATA)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -381,3 +382,52 @@ def test_report_zero_iterations_noted(tmp_path, capsys):
     ]
     assert "Traceback" not in err
     assert run_cli(capsys, "frs", str(csv), str(csv), "--iters", "0")[0] == 2
+
+
+def _close(got, want):
+    if isinstance(want, float) or isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_close(got[k], want[k]) for k in want)
+    return got == want
+
+
+def _json_docs(text):
+    """One JSON document, or JSON lines."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [json.loads(line) for line in text.splitlines()]
+
+
+def test_golden_cli_replay(tmp_path, capsys, monkeypatch):
+    """Every command in golden_cli.json (see gen_fixtures.py) still prints,
+    exits and writes what it did when the snapshot was taken."""
+    monkeypatch.setenv("COLUMNS", "80")
+    swaps = {"{DATA}": str(DATA_DIR), "{OUT}": str(tmp_path)}
+
+    def fill(text):
+        for key, value in swaps.items():
+            text = text.replace(key, value)
+        return text
+
+    cases = json.loads((DATA_DIR / "golden_cli.json").read_text(encoding="utf-8"))
+    written = set()
+    for case in cases:
+        argv = [fill(a) for a in case["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (case["exit"], fill(case["stderr"])), argv
+        got = {"stdout": out}
+        want = {"stdout": fill(case["stdout"])}
+        for name, text in case["files"].items():
+            got[name] = (tmp_path / name).read_text(encoding="utf-8")
+            want[name] = fill(text)
+        written.update(case["files"])
+        for key in want:
+            if case["approx"]:
+                assert _close(_json_docs(got[key]), _json_docs(want[key])), (argv, key)
+            else:
+                assert got[key] == want[key], (argv, key)
+    assert {p.name for p in tmp_path.iterdir()} == written
