@@ -1,9 +1,11 @@
 """Command-line front end.
 
-One binary, subcommand style. Machine-readable results go to stdout
-(or --out); diagnostics go to stderr. Exit codes: 0 success, 1 usage
-error, 2 data/contract error, 3 numeric failure. Every randomized
-path takes an explicit --seed; nothing is seeded from the clock.
+One binary, subcommand style. Subcommands return a JSON payload, text
+or None, and main writes it to stdout (or --out); --format text prints
+a payload's headline value alone, empty when undefined. Diagnostics go
+to stderr. Exit codes: 0 success, 1 usage error, 2 data/contract error,
+3 numeric failure. Every randomized path takes an explicit --seed;
+nothing is seeded from the clock.
 """
 
 import argparse
@@ -12,8 +14,6 @@ import itertools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import align as align_mod
 from . import report as report_mod
@@ -38,65 +38,51 @@ def _write_out(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, out_path) -> None:
-    _write_out(json.dumps(obj, indent=2) + "\n", out_path)
+def _load_pair(first_path, second_path):
+    first = load_corpus(first_path)
+    second = load_corpus(second_path)
+    if len(first) != len(second):
+        raise DataError(f"corpus length mismatch: {len(first)} vs {len(second)}")
+    return first, second
 
 
-def _emit_scalar(payload: dict, headline_key: str, args) -> None:
-    """JSON by default; --format text prints just the headline value."""
-    if args.format == "text":
-        _write_out(f"{payload[headline_key]}\n", args.out)
-    else:
-        _emit_json(payload, args.out)
+def _mean_payload(name, results, skipped, per_sentence, **extras) -> dict:
+    payload = {
+        f"mean_{name}": mean_or_none([getattr(r, name) for r in results]),
+        "count": len(results),
+        "skipped": skipped,
+        **extras,
+    }
+    if per_sentence:
+        payload["sentences"] = [dataclasses.asdict(r) for r in results]
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_bleu(args) -> int:
-    hyp = load_corpus(args.hyp)
-    ref = load_corpus(args.ref)
-    score = corpus_bleu(hyp, ref, lowercase=args.lc)
-    _emit_scalar(
-        {
-            "score": score.score,
-            "precisions": list(score.precisions),
-            "bp": score.brevity_penalty,
-            "hyp_len": score.hyp_len,
-            "ref_len": score.ref_len,
-        },
-        "score",
-        args,
-    )
-    return 0
+def cmd_bleu(args) -> dict:
+    score = corpus_bleu(load_corpus(args.hyp), load_corpus(args.ref), lowercase=args.lc)
+    return {
+        "score": score.score,
+        "precisions": list(score.precisions),
+        "bp": score.brevity_penalty,
+        "hyp_len": score.hyp_len,
+        "ref_len": score.ref_len,
+    }
 
 
-def cmd_ter(args) -> int:
-    hyp = load_corpus(args.hyp)
-    ref = load_corpus(args.ref)
-    if len(hyp) != len(ref):
-        raise DataError(f"corpus length mismatch: {len(hyp)} vs {len(ref)}")
+def cmd_ter(args) -> dict:
+    hyp, ref = _load_pair(args.hyp, args.ref)
     results, skipped = score_defined(
         zip(hyp, ref), lambda h, r: ter_op(h, r, shifts=args.shifts)
     )
-    payload = {
-        "mean_ter": mean_or_none([r.ter for r in results]),
-        "count": len(results),
-        "skipped": skipped,
-        "shifts": bool(args.shifts),
-    }
-    if args.per_sentence:
-        payload["sentences"] = [dataclasses.asdict(r) for r in results]
-    _emit_scalar(payload, "mean_ter", args)
-    return 0
+    return _mean_payload("ter", results, skipped, args.per_sentence, shifts=bool(args.shifts))
 
 
-def cmd_frs(args) -> int:
-    hyp = load_corpus(args.hyp)
-    other = load_corpus(args.other)
-    if len(hyp) != len(other):
-        raise DataError(f"corpus length mismatch: {len(hyp)} vs {len(other)}")
+def cmd_frs(args) -> dict:
+    hyp, other = _load_pair(args.hyp, args.other)
     if args.align:
         alignments = align_mod.read_pharaoh(args.align)
         if len(alignments) != len(hyp):
@@ -113,23 +99,14 @@ def cmd_frs(args) -> int:
             raise DataError(f"{args.align}: line {lineno}: {exc}") from exc
 
     results, skipped = score_defined(zip(itertools.count(1), alignments, hyp, other), score)
-    payload = {
-        "mean_frs": mean_or_none([r.frs for r in results]),
-        "count": len(results),
-        "skipped": skipped,
-    }
-    if args.per_sentence:
-        payload["sentences"] = [dataclasses.asdict(r) for r in results]
-    _emit_scalar(payload, "mean_frs", args)
-    return 0
+    return _mean_payload("frs", results, skipped, args.per_sentence)
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> str:
     hyp = load_corpus(args.hyp)
     other = load_corpus(args.other)
     alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-    _write_out(align_mod.format_pharaoh(alignments), args.out)
-    return 0
+    return align_mod.format_pharaoh(alignments)
 
 
 _KINDS = {
@@ -139,26 +116,24 @@ _KINDS = {
 }
 
 
-def cmd_perturb(args) -> int:
-    spec = PerturbationSpec(
-        kind=_KINDS[args.kind], probability=args.prob, seed=args.seed
-    )
+def cmd_perturb(args) -> None:
+    spec = PerturbationSpec(kind=_KINDS[args.kind], probability=args.prob, seed=args.seed)
     corpus = load_corpus(args.infile)
     save_corpus(perturb_corpus(corpus, spec), args.outfile)
-    return 0
 
 
-def cmd_robust(args) -> int:
+def cmd_robust(args) -> str:
     run = load_run(args.clean)
     if args.ref:
         ref = load_corpus(args.ref, name="ref")
         run = dataclasses.replace(run, reference=ref)
     perturbed = {}
     for item in args.perturbed:
-        if "=" in item:
-            kind, path = item.split("=", 1)
-        else:
+        kind, eq, path = item.partition("=")
+        if not eq:
             kind, path = os.path.basename(os.path.normpath(item)), item
+        if kind in perturbed:
+            raise UsageError(f"--perturbed: kind {kind!r} given more than once")
         perturbed[kind] = load_run(path)
     reports = robustness_suite(run, perturbed)
     lines = ["checkpoint,kind,bleu_clean,bleu_pert,R,R_raw,C"]
@@ -168,40 +143,28 @@ def cmd_robust(args) -> int:
             f"{rep.tq_perturbed.score:.12g},{rep.robustness:.12g},"
             f"{rep.raw_ratio:.12g},{rep.consistency:.12g}"
         )
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_rmss(args) -> int:
+def cmd_rmss(args) -> dict:
     x_set = load_embeddings(args.x_emb)
     y_set = load_embeddings(args.y_emb)
     result = rmss(x_set, y_set, args.k)
-    per_path = args.per_sentence
-    if per_path:
-        with open(per_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(list(result.per_sentence), fh)
-            fh.write("\n")
-    _emit_scalar(
-        {
-            "mean": result.mean,
-            "k": result.k,
-            "count": x_set.count,
-            "skipped": result.skipped,
-            "per_sentence": per_path or None,
-        },
-        "mean",
-        args,
-    )
-    return 0
+    if args.per_sentence:
+        _write_out(json.dumps(list(result.per_sentence)) + "\n", args.per_sentence)
+    return {
+        "mean": result.mean,
+        "k": result.k,
+        "count": x_set.count,
+        "skipped": result.skipped,
+        "per_sentence": args.per_sentence,
+    }
 
 
-def cmd_lrp(args) -> int:
+def cmd_lrp(args) -> str:
     model = load_model(args.model)
     vocab = load_vocab(args.vocab)
-    src = load_corpus(args.src)
-    tgt = load_corpus(args.tgt)
-    if len(src) != len(tgt):
-        raise DataError(f"corpus length mismatch: {len(src)} vs {len(tgt)}")
+    src, tgt = _load_pair(args.src, args.tgt)
     out_lines = []
     all_records = []
     skipped = 0
@@ -230,51 +193,43 @@ def cmd_lrp(args) -> int:
     else:
         summary = {"summary": None, "skipped_sentences": skipped}
     out_lines.append(json.dumps(summary))
-    _write_out("\n".join(out_lines) + "\n", args.out)
-    return 0
+    return "\n".join(out_lines) + "\n"
 
 
 def _load_report_embeddings(emb_dir, run):
-    emb = {}
-    for side in ("ref", "src"):
-        path = os.path.join(emb_dir, f"{side}.emb")
+    emb = {"checkpoints": {}}
+    wanted = [(emb, side, (f"{side}.emb",)) for side in ("ref", "src")] + [
+        (emb["checkpoints"], c.checkpoint_id, ("checkpoints", c.checkpoint_id, "hyp.emb"))
+        for c in run.checkpoints
+    ]
+    for table, key, parts in wanted:
+        path = os.path.join(emb_dir, *parts)
         if os.path.isfile(path):
-            emb[side] = load_embeddings(path)
-    ckpts = {}
-    for ckpt in run.checkpoints:
-        path = os.path.join(emb_dir, "checkpoints", ckpt.checkpoint_id, "hyp.emb")
-        if os.path.isfile(path):
-            ckpts[ckpt.checkpoint_id] = load_embeddings(path)
-    emb["checkpoints"] = ckpts
+            table[key] = load_embeddings(path)
     return emb
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict:
     run = load_run(args.run_dir)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise UsageError("--metrics needs at least one metric name")
-    inputs = report_mod.ReportInputs(
-        align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc
-    )
+    inputs = report_mod.ReportInputs(align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc)
     # load only what a requested metric reads
-    if args.embeddings and any(m.startswith("rmss-") for m in metrics):
+    if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
         inputs.embeddings = _load_report_embeddings(args.embeddings, run)
     if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
         inputs.model = load_model(args.model)
         inputs.vocab = load_vocab(args.vocab)
     series, notes = report_mod.collect(run, metrics, inputs)
-    outputs = {"csv": None, "svg": None, "series": [s.metric_name for s in series], "notes": notes}
-    if args.csv:
-        report_mod.emit_csv(series, args.csv)
-        outputs["csv"] = args.csv
-    if args.svg:
-        report_mod.emit_svg(series, args.svg)
-        outputs["svg"] = args.svg
     for note in notes:
         print(note, file=sys.stderr)
-    _emit_json(outputs, args.out)
-    return 0
+    if args.csv:
+        report_mod.emit_csv(series, args.csv)
+    if args.svg:
+        report_mod.emit_svg(series, args.svg)
+    names = [s.metric_name for s in series]
+    return {"csv": args.csv, "svg": args.svg, "series": names, "notes": notes}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mtlens",
         description="Analysis toolkit for machine-translation outputs",
     )
+    parser.set_defaults(format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p):
@@ -303,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref")
     p.add_argument("--lc", action="store_true", help="lowercase before scoring")
     add_scalar_out(p)
-    p.set_defaults(func=cmd_bleu)
+    p.set_defaults(func=cmd_bleu, headline="score")
 
     p = sub.add_parser("ter", help="translation edit rate")
     p.add_argument("hyp")
@@ -311,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shifts", action="store_true", help="enable greedy block shifts")
     p.add_argument("--per-sentence", action="store_true")
     add_scalar_out(p)
-    p.set_defaults(func=cmd_ter)
+    p.set_defaults(func=cmd_ter, headline="mean_ter")
 
     p = sub.add_parser("frs", help="fuzzy reordering score")
     p.add_argument("hyp")
@@ -320,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10, help="EM iterations")
     p.add_argument("--per-sentence", action="store_true")
     add_scalar_out(p)
-    p.set_defaults(func=cmd_frs)
+    p.set_defaults(func=cmd_frs, headline="mean_frs")
 
     p = sub.add_parser("align", help="IBM Model 1 word alignment (Pharaoh output)")
     p.add_argument("hyp", help="side whose token indexes own the links")
@@ -356,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y_emb", help="hypothesis embeddings")
     p.add_argument("--per-sentence", metavar="FILE", help="write per-pair scores here")
     add_scalar_out(p)
-    p.set_defaults(func=cmd_rmss)
+    p.set_defaults(func=cmd_rmss, headline="mean")
 
     p = sub.add_parser("lrp", help="relevance propagation records (JSON lines)")
     p.add_argument("--model", required=True)
@@ -392,7 +348,6 @@ _EXIT_CODES = {
     DataError: 2,
     OSError: 2,
     NumericError: 3,
-    np.linalg.LinAlgError: 3,
 }
 
 
@@ -403,7 +358,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict) and args.format == "text":
+            value = result[args.headline]
+            result = f"{'' if value is None else value}\n"
+        elif isinstance(result, dict):
+            result = json.dumps(result, indent=2) + "\n"
+        if result is not None:
+            _write_out(result, args.out)
+        return 0
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

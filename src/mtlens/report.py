@@ -18,6 +18,8 @@ from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import corpus_wordorder
 
+# the metrics that read ReportInputs.embeddings, and those that read model/vocab
+RMSS_METRICS = ("rmss-vs-ref", "rmss-vs-src")
 RELEVANCE_METRICS = ("avg-src-contribution", "src-entropy", "tgt-entropy")
 KNOWN_METRICS = (
     "bleu",
@@ -25,9 +27,7 @@ KNOWN_METRICS = (
     "ter-vs-ref",
     "frs-vs-src",
     "ter-vs-src",
-    "rmss-vs-ref",
-    "rmss-vs-src",
-) + RELEVANCE_METRICS
+) + RMSS_METRICS + RELEVANCE_METRICS
 
 
 @dataclass
@@ -138,7 +138,7 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
                 )
                 computed[frs_series.metric_name] = frs_series
                 computed[ter_series.metric_name] = ter_series
-            elif metric in ("rmss-vs-ref", "rmss-vs-src"):
+            elif metric in RMSS_METRICS:
                 side = metric.rsplit("-", 1)[1]
                 problem = need_embeddings(side)
                 if problem:

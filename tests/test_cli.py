@@ -431,3 +431,40 @@ def test_golden_cli_replay(tmp_path, capsys, monkeypatch):
             else:
                 assert got[key] == want[key], (argv, key)
     assert {p.name for p in tmp_path.iterdir()} == written
+
+
+def test_robust_repeated_kind_is_usage_error(tmp_path, capsys):
+    ref = ["a b c", "d e f"]
+    clean = _run_dir(tmp_path / "clean", ref, {"c1": ref})
+    pert_x = _run_dir(tmp_path / "x" / "noise", ref, {"c1": ["a b d", "d e f"]})
+    pert_y = _run_dir(tmp_path / "y" / "noise", ref, {"c1": ref})
+    # an explicit kind, and two bare dirs with the same basename
+    for kind, first, second in (("case", f"case={pert_x}", f"case={pert_y}"),
+                                ("noise", str(pert_x), str(pert_y))):
+        code, out, err = run_cli(
+            capsys, "robust", "--clean", str(clean), "--perturbed", first, "--perturbed", second,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --perturbed: kind {kind!r} given more than once\n"
+
+
+def test_undefined_headline(tmp_path, capsys):
+    # every reference line is empty, so no sentence has a TER or FRS
+    hyp, ref, aln = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "a.aln"
+    write(hyp, "a b\nc\n")
+    write(ref, "\n\n")
+    write(aln, "\n\n")
+    for argv in (["ter"], ["frs", "--align", str(aln)]):
+        argv += [str(hyp), str(ref), "--format"]
+        assert run_cli(capsys, *argv, "text") == (0, "\n", "")
+        code, out, _ = run_cli(capsys, *argv, "json")
+        assert code == 0 and json.loads(out)[f"mean_{argv[0]}"] is None
+
+
+def test_report_notes_precede_emission_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "report", str(DATA_DIR / "run3"), "--metrics", "rmss-vs-ref",
+        "--csv", str(tmp_path / "out.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "rmss-vs-ref: skipped (missing ref embeddings)\nerror: no series to emit\n"
