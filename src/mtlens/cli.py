@@ -157,7 +157,7 @@ def cmd_rmss(args) -> dict:
         "k": result.k,
         "count": x_set.count,
         "skipped": result.skipped,
-        "per_sentence": args.per_sentence,
+        "per_sentence": args.per_sentence or None,
     }
 
 
@@ -229,7 +229,7 @@ def cmd_report(args) -> dict:
     if args.svg:
         report_mod.emit_svg(series, args.svg)
     names = [s.metric_name for s in series]
-    return {"csv": args.csv, "svg": args.svg, "series": names, "notes": notes}
+    return {"csv": args.csv or None, "svg": args.svg or None, "series": names, "notes": notes}
 
 
 # ---------------------------------------------------------------------------

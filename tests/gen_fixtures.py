@@ -132,7 +132,8 @@ GOLDEN_CLI = (
         (["rmss", "--k", "2", "{DATA}/emb3/ref.emb",
           "{DATA}/emb3/checkpoints/000100/hyp.emb",
           "--per-sentence", "{OUT}/rmss.json"], True),
-        (["rmss", "{DATA}/emb3/src.emb", "{DATA}/emb3/checkpoints/000300/hyp.emb"], True),
+        (["rmss", "{DATA}/emb3/src.emb", "{DATA}/emb3/checkpoints/000300/hyp.emb",
+          "--per-sentence", ""], True),
         (["lrp", "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
           SRC, REF], True),
         (["lrp", "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
@@ -142,6 +143,7 @@ GOLDEN_CLI = (
         (["report", RUN, "--metrics", "bleu,ter-vs-src,frs-vs-src,rmss-vs-src,src-entropy",
           "--iters", "3", "--k", "2", "--lc",
           "--csv", "{OUT}/series2.csv", "--out", "{OUT}/report.json"], False),
+        (["report", RUN, "--metrics", "bleu", "--csv", "", "--svg", "", "--out", ""], False),
         (["report", RUN, "--metrics", " , "], False),
     ]
 )
