@@ -90,7 +90,13 @@ def cmd_frs(args) -> dict:
                 f"{args.align}: {len(alignments)} alignment lines for {len(hyp)} sentences"
             )
     else:
-        alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
+        try:
+            alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
+        except DataError:
+            if args.iters < 1:
+                raise
+            # no trainable pair: FRS is undefined for every sentence, as in report
+            return _mean_payload("frs", [], len(hyp), args.per_sentence)
 
     def score(lineno, alignment, h, o):
         try:

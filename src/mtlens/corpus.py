@@ -3,13 +3,15 @@
 File contract: every text input is UTF-8 with LF line ends; a CR
 before an LF is ignored. read_lines() is the one reader behind every
 loader, so each loader error names the file and, where there is one,
-the line. Corpora hold one sentence per line. A run directory holds
-src.txt, ref.txt and checkpoints/<id>/hyp.txt. Tokenization is
-whitespace splitting after Unicode NFC normalization; empty lines
-become zero-token sentences so line pairing across files is
-preserved.
+the line; read_array() is the one parser of the numeric rows in
+weight and embedding files. Corpora hold one sentence per line. A
+run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
+Tokenization is whitespace splitting after Unicode NFC normalization;
+empty lines become zero-token sentences so line pairing across files
+is preserved.
 """
 
+import contextlib
 import os
 import unicodedata
 import warnings
@@ -77,23 +79,40 @@ def read_lines(path):
             yield lineno, text
 
 
-def parse_rows(rows, ncols):
-    """Parse rows of space-separated decimals as one (len(rows), ncols) array.
+def read_array(path, lines, nrows, ncols):
+    """Parse the next nrows items of read_lines() output as an (nrows, ncols) array.
 
-    np.loadtxt parses the whole block at once. The result is None, for
-    the caller to parse row by row with float(), on any ValueError or
-    warning, or on any other shape: np.loadtxt rejects `1_0` and
-    non-ASCII digits, which float() accepts, and skips blank rows. Where
-    np.loadtxt accepts every row, float() gives the same values bit for
-    bit, so the block parser changes no result and no error message.
+    Each row holds ncols decimals split by whitespace. np.loadtxt
+    parses the block at once. On any ValueError or warning, or any
+    other shape, the rows are parsed again with one float() per value:
+    float() also accepts `1_0`, non-ASCII digits and any Unicode
+    whitespace, gives the same bits wherever np.loadtxt accepts a row,
+    and lets the error name the first bad row's line.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    head = [item for _, item in zip(range(nrows), lines)]
+    if len(head) == nrows:
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
+            warnings.simplefilter("error")
+            block = np.loadtxt([row for _, row in head], dtype=np.float64, comments=None, ndmin=2)
+            if block.shape == (nrows, ncols):
+                return block
+    rows = []
+    for lineno, line in head:
         try:
-            block = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    return block if block.shape == (len(rows), ncols) else None
+            row = [float(v) for v in line.split()]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: bad number") from exc
+        if len(row) != ncols:
+            raise DataError(f"{path}: line {lineno}: expected {ncols} values, got {len(row)}")
+        rows.append(row)
+    if len(rows) < nrows:
+        raise DataError(
+            f"{path}: end of file after {len(rows)} rows; the header promises {nrows}"
+        )
+    try:
+        return np.array(rows, dtype=np.float64).reshape(nrows, ncols)
+    except ValueError as exc:  # ncols too large for numpy, with no rows
+        raise DataError(f"{path}: bad header counts {nrows} {ncols}") from exc
 
 
 def load_corpus(path, name: str | None = None) -> Corpus:

@@ -40,6 +40,3 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

@@ -10,8 +10,9 @@ is closer than its neighborhoods.
 
 Embedding files are UTF-8 text read through corpus.read_lines: a
 "count dim" header on line 1, then one row of space-separated
-decimals per vector, so vector i sits on line i + 2; load errors name
-the file and that line. Embedding extraction itself happens upstream;
+decimals per vector, so vector i sits on line i + 2, and only blank
+lines after them. corpus.read_array parses the rows, as it does those
+of weight files; load errors name the file and that line. Embedding extraction itself happens upstream;
 this module only ingests (or mean-pools) vectors.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import parse_rows, read_lines
+from .corpus import read_array, read_lines
 from .errors import DataError
 from .wordorder import mean_or_none
 
@@ -123,7 +124,7 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Parse "count dim" header plus one vector row per line."""
+    """Parse a "count dim" header, then count rows through corpus.read_array."""
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2:
@@ -134,30 +135,10 @@ def load_embeddings(path) -> EmbeddingSet:
         raise DataError(f"{path}: bad header {header!r}") from exc
     if count < 0 or dim < 1:
         raise DataError(f"{path}: bad header counts {count} {dim}")
-    head = [item for _, item in zip(range(count), lines)]
-    arr = parse_rows([line for _, line in head], dim) if len(head) == count else None
-    if arr is None:  # float() accepts more and names the bad line
-        rows = []
-        for lineno, line in head:
-            try:
-                row = [float(v) for v in line.split()]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad number") from exc
-            if len(row) != dim:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(row)}"
-                )
-            rows.append(row)
-        if len(rows) < count:
-            raise DataError(f"{path}: header promises {count} rows, file has {len(rows)}")
+    arr = read_array(path, lines, count, dim)
     for lineno, line in lines:  # only blank lines may follow the rows
         if line.strip():
             raise DataError(f"{path}: line {lineno}: more rows than the header's {count}")
-    if arr is None:
-        try:
-            arr = np.array(rows, dtype=np.float64).reshape(count, dim)
-        except ValueError as exc:  # a dim too large for numpy, with no rows
-            raise DataError(f"{path}: bad header counts {count} {dim}") from exc
     bad = _nonfinite_row(arr)
     if bad is not None:
         raise DataError(f"{path}: line {bad + 2}: non-finite value")

@@ -17,6 +17,3 @@ class MetricSeries:
 
     def checkpoint_ids(self) -> list[str]:
         return [p.checkpoint_id for p in self.points]
-
-    def values(self) -> list[float | None]:
-        return [p.value for p in self.points]

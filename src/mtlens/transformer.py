@@ -13,7 +13,9 @@ caches that relevance propagation needs.
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
 self-describing: a header with the configuration, then named arrays
-with explicit shapes. Vocab files hold one token per line, the line
+with explicit shapes. A 1-D array is one row and an N-D array
+shape[0] rows of prod(shape[1:]) values, parsed by corpus.read_array
+as embedding rows are. Vocab files hold one token per line, the line
 number being the id; ids 0..3 are reserved for BOS, EOS, UNK and PAD.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import parse_rows, read_lines
+from .corpus import read_array, read_lines
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -214,20 +216,10 @@ def load_model(path) -> TransformerModel:
             continue
         try:
             if parts[0] == "array" and len(parts) > 2:
-                name = parts[1]
                 shape = tuple(int(d) for d in parts[2:])
                 nrows = 1 if len(shape) == 1 else shape[0]
-                block = [item for _, item in zip(range(nrows), lines)]
-                ncols = math.prod(shape[1:]) if len(shape) > 1 else shape[0]
-                arr = parse_rows([row for _, row in block], ncols) if len(block) == nrows else None
-                if arr is None:  # float() accepts more and names the bad line
-                    rows = []
-                    for lineno, row in block:
-                        rows.append([float(v) for v in row.split()])
-                    if len(block) < nrows:
-                        raise DataError(f"{path}: array {name} cut short by end of file")
-                    arr = np.array(rows, dtype=np.float64)
-                weights[name] = arr.reshape(shape)
+                arr = read_array(path, lines, nrows, math.prod(shape[1:] or shape))
+                weights[parts[1]] = arr.reshape(shape)
             elif len(parts) == 2:
                 config[parts[0]] = int(parts[1])
             else:

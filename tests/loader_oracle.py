@@ -2,11 +2,15 @@
 
 These are `mtlens.transformer.load_model` and
 `mtlens.semsim.load_embeddings` as they were before both parsed each
-array in one block with np.loadtxt. float() also accepts `1_0`,
-non-ASCII digits and any Unicode whitespace between values, and every
-error names its line, so the production loaders must give the same
-array bits, or the same DataError text, as these on any input.
+array in one block with np.loadtxt, with the error texts of
+`mtlens.corpus.read_array` for bad and short rows. float() also
+accepts `1_0`, non-ASCII digits and any Unicode whitespace between
+values, and every error names its line, so the production loaders
+must give the same array bits, or the same DataError text, as these
+on any input.
 """
+
+import math
 
 import numpy as np
 
@@ -30,12 +34,24 @@ def load_model(path) -> TransformerModel:
             if parts[0] == "array" and len(parts) > 2:
                 name = parts[1]
                 shape = tuple(int(d) for d in parts[2:])
+                nrows = 1 if len(shape) == 1 else shape[0]
+                ncols = math.prod(shape[1:] or shape)
                 rows = []
-                for _ in range(1 if len(shape) == 1 else shape[0]):
+                for _ in range(nrows):
                     lineno, row = next(lines, (lineno, None))
                     if row is None:
-                        raise DataError(f"{path}: array {name} cut short by end of file")
-                    rows.append([float(v) for v in row.split()])
+                        raise DataError(
+                            f"{path}: end of file after {len(rows)} rows; the header promises {nrows}"
+                        )
+                    try:
+                        values = [float(v) for v in row.split()]
+                    except ValueError as exc:
+                        raise DataError(f"{path}: line {lineno}: bad number") from exc
+                    if len(values) != ncols:
+                        raise DataError(
+                            f"{path}: line {lineno}: expected {ncols} values, got {len(values)}"
+                        )
+                    rows.append(values)
                 weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
             elif len(parts) == 2:
                 config[parts[0]] = int(parts[1])
@@ -86,7 +102,9 @@ def load_embeddings(path) -> EmbeddingSet:
             )
         rows.append(row)
     if len(rows) < count:
-        raise DataError(f"{path}: header promises {count} rows, file has {len(rows)}")
+        raise DataError(
+            f"{path}: end of file after {len(rows)} rows; the header promises {count}"
+        )
     try:
         arr = np.array(rows, dtype=np.float64).reshape(count, dim)
     except ValueError as exc:  # a dim too large for numpy, with no rows

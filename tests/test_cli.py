@@ -272,6 +272,15 @@ def _weights(edit):
     return edit((DATA_DIR / "fixture.wts").read_text(encoding="utf-8")).encode("utf-8")
 
 
+def _weight_row(lineno, edit):
+    def apply(text):
+        lines = text.split("\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return "\n".join(lines)
+
+    return _weights(apply)
+
+
 LRP_MODEL = ["lrp", "--model", "BAD", "--vocab", str(DATA_DIR / "vocab.txt"), "SRC", "SRC"]
 
 # argv with BAD for the malformed file, that file's bytes, and what the error names
@@ -283,6 +292,14 @@ BAD_LOADER_INPUTS = {
         LRP_MODEL,
         _weights(lambda t: t.replace("0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0", "1 zz", 1)),
         "line 8",
+    ),
+    "weights-row-too-short": (  # line 17 is the second of the 16 rows of dec0_cross_wk
+        LRP_MODEL,
+        _weight_row(17, lambda row: row.rsplit(" ", 1)[0]),
+        "line 17: expected 16 values, got 15",
+    ),
+    "weights-row-too-long": (
+        LRP_MODEL, _weight_row(17, lambda row: row + " 0.5"), "line 17: expected 16 values, got 17",
     ),
     "weights-zero-heads": (
         LRP_MODEL, _weights(lambda t: t.replace("heads 2", "heads 0")), "positive",
@@ -367,6 +384,21 @@ def test_report_ter_defined_when_no_pair_aligns(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["mean_ter"] == 1.0
     assert csv.read_text().splitlines()[1] == "c1,0,,1"  # checkpoint,bleu,frs,ter
+
+
+def test_frs_untrainable_bitext_is_undefined(tmp_path, capsys):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    # no pair has tokens on both sides, so IBM-1 has nothing to train on
+    for hyp_text, ref_text in (("a b\nc\n", "\n\n"), ("\n\n", "a b\nc d\n")):
+        write(hyp, hyp_text)
+        write(ref, ref_text)
+        code, out, err = run_cli(capsys, "frs", str(hyp), str(ref))
+        assert code == 0, err
+        assert json.loads(out) == {"mean_frs": None, "count": 0, "skipped": 2}
+        code, _, err = run_cli(capsys, "frs", str(hyp), str(ref), "--iters", "0")
+        assert code == 2 and "Traceback" not in err
+        code, _, err = run_cli(capsys, "align", str(hyp), str(ref))
+        assert code == 2 and "empty bitext" in err
 
 
 def test_report_zero_iterations_noted(tmp_path, capsys):
