@@ -107,11 +107,11 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
         raise DataError(
             f"bitext length mismatch: {len(hyp)} vs {len(other)} sentences"
         )
+    if iterations < 1:
+        raise DataError("need at least one EM iteration")
     pairs = [(h.tokens, o.tokens) for h, o in zip(hyp, other) if h.tokens and o.tokens]
     if not pairs:
         raise DataError("empty bitext: no sentence pair has tokens on both sides")
-    if iterations < 1:
-        raise DataError("need at least one EM iteration")
 
     hyp_ids: dict = {}
     other_ids: dict = {NULL: 0}

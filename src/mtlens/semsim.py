@@ -8,6 +8,17 @@ neighbors in X. Neighbor pools are the full opposing set, so the
 paired sentence may be its own neighbor. Scores are high when a pair
 is closer than its neighborhoods.
 
+The cosines are never held as one n x n matrix. The x-side sums come
+from row tiles of xn @ yn.T, the y-side sums from row tiles of
+yn @ xn.T, each tile max(1, TILE_ELEMENTS // n) whole rows; cos(x_i, y_i)
+is read from the diagonal of the x-side tiles. Memory beyond the two
+normalised input copies is one tile plus a few length-n vectors, so
+it no longer grows with n^2. In each row np.partition picks the k
+largest values, and only those are sorted and summed largest first:
+the order, and so the rounding, of summing a fully sorted row's first
+k values. Which BLAS kernel fills a tile still depends on its shape,
+so cosines can differ in the last bit from those of a full product.
+
 Embedding files are UTF-8 text read through corpus.read_lines: a
 "count dim" header on line 1, then one row of space-separated
 decimals per vector, so vector i sits on line i + 2, and only blank
@@ -23,6 +34,9 @@ import numpy as np
 from .corpus import read_array, read_lines
 from .errors import DataError
 from .wordorder import mean_or_none
+
+# cosines held at once: one row tile of xn @ yn.T or yn @ xn.T (4 MB of float64)
+TILE_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,24 @@ class RmssResult:
     skipped: int
 
 
+def _top_k_sums(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i of a @ b.T, the sum of its k largest values and entry (i, i)."""
+    n = a.shape[0]
+    rows = max(1, TILE_ELEMENTS // n)
+    sums = np.empty(n)
+    diag = np.empty(n)
+    buf = np.empty((min(rows, n), n))  # every tile is written here
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        tile = buf[: stop - start]
+        np.matmul(a[start:stop], b.T, out=tile)
+        diag[start:stop] = tile.diagonal(start)
+        tile.partition(n - k, axis=1)  # each row's k largest now sit last
+        top = np.sort(tile[:, n - k :], axis=1)
+        sums[start:stop] = top[:, ::-1].sum(axis=1)  # largest first
+    return sums, diag
+
+
 def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
     if x_set.count != y_set.count:
         raise DataError(
@@ -104,21 +136,11 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
         raise DataError("cosine undefined for a zero vector")
     xn = x / x_norm[:, None]
     yn = y / y_norm[:, None]
-    cos = xn @ yn.T  # cos[i, j] = cos(x_i, y_j)
-
-    per = []
-    skipped = 0
-    for i in range(n):
-        # nearest = largest cosine; summing the k largest values makes
-        # index tie-breaking irrelevant to the result
-        x_side = np.sort(cos[i, :])[::-1][:k].sum() / (2.0 * k)
-        y_side = np.sort(cos[:, i])[::-1][:k].sum() / (2.0 * k)
-        denom = x_side + y_side
-        if denom <= 0.0:
-            per.append(None)
-            skipped += 1
-        else:
-            per.append(float(cos[i, i] / denom))
+    x_top, paired = _top_k_sums(xn, yn, k)  # paired[i] = cos(x_i, y_i)
+    y_top, _ = _top_k_sums(yn, xn, k)
+    denom = x_top / (2.0 * k) + y_top / (2.0 * k)
+    per = [None if d <= 0.0 else float(c / d) for c, d in zip(paired, denom)]
+    skipped = per.count(None)
     mean = mean_or_none([v for v in per if v is not None])
     return RmssResult(per_sentence=tuple(per), mean=mean, k=k, skipped=skipped)
 

@@ -395,10 +395,13 @@ def test_frs_untrainable_bitext_is_undefined(tmp_path, capsys):
         code, out, err = run_cli(capsys, "frs", str(hyp), str(ref))
         assert code == 0, err
         assert json.loads(out) == {"mean_frs": None, "count": 0, "skipped": 2}
-        code, _, err = run_cli(capsys, "frs", str(hyp), str(ref), "--iters", "0")
-        assert code == 2 and "Traceback" not in err
         code, _, err = run_cli(capsys, "align", str(hyp), str(ref))
         assert code == 2 and "empty bitext" in err
+        # a bad --iters is named before the bitext is looked at
+        for command in ("frs", "align"):
+            code, _, err = run_cli(capsys, command, str(hyp), str(ref), "--iters", "0")
+            assert code == 2 and "need at least one EM iteration" in err, err
+            assert "Traceback" not in err
 
 
 def test_report_zero_iterations_noted(tmp_path, capsys):

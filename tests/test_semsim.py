@@ -1,8 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import semsim_oracle
+from mtlens import semsim
 from mtlens.errors import DataError
 from mtlens.rng import SplitMix64
 from mtlens.semsim import (
@@ -158,6 +164,82 @@ def test_rmss_dim_mismatch():
 def test_rmss_count_mismatch():
     with pytest.raises(DataError):
         rmss(embedding_set([[1.0]] ), embedding_set([[1.0], [2.0]]), 1)
+
+
+# -- the tiled RMSS against the full-matrix oracle ------------------------------
+
+
+def tile_budgets(n):
+    """One-row tiles, tiles of n // 2 + 1 rows (not a divisor of n when n > 2), the default."""
+    return (1, (n // 2 + 1) * n, semsim.TILE_ELEMENTS)
+
+
+def tiled_rmss(x, y, k, budget):
+    with mock.patch.object(semsim, "TILE_ELEMENTS", budget):
+        return rmss(x, y, k)
+
+
+@st.composite
+def embedding_pairs(draw, low):
+    """Aligned sets of up to 60 vectors with components in [low, 3], and a k.
+
+    Both sets take their rows from one pool, so rows repeat within and
+    across the sets and cosines tie; integer components add more ties.
+    """
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from((1, 1000)))  # components are multiples of 1/scale
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    pool = rng.integers(low * scale, 3 * scale, (draw(st.integers(1, n)), dim), endpoint=True)
+    pool[~pool.any(axis=1), 0] = scale  # no zero vector
+    x, y = (pool[rng.integers(0, len(pool), n)] / scale for _ in "xy")
+    return embedding_set(x), embedding_set(y), draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=embedding_pairs(low=0))
+def test_tiles_match_oracle_nonnegative(case):
+    # nonnegative components: no cancellation, so tile rounding stays ~1e-16
+    x, y, k = case
+    want = semsim_oracle.rmss(x, y, k)
+    for budget in tile_budgets(x.count):
+        got = tiled_rmss(x, y, k, budget)
+        assert got.skipped == want.skipped
+        assert [v is None for v in got.per_sentence] == [v is None for v in want.per_sentence]
+        for g, w in zip(got.per_sentence, want.per_sentence):
+            assert w is None or g == pytest.approx(w, rel=1e-12, abs=0)
+        assert (got.mean is None) == (want.mean is None)
+        assert want.mean is None or got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=embedding_pairs(low=-3))
+def test_tiles_keep_oracle_skips_mixed_sign(case):
+    # a margin near 0 comes from cancellation, where rounding may flip its sign
+    x, y, k = case
+    want = semsim_oracle.rmss(x, y, k)
+    margins = semsim_oracle.margins(x, y, k)
+    for budget in tile_budgets(x.count):
+        got = tiled_rmss(x, y, k, budget)
+        for g, w, m in zip(got.per_sentence, want.per_sentence, margins):
+            if abs(m) > 1e-9:
+                assert (g is None) == (w is None)
+            if abs(m) > 1e-2 and w is not None:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+
+def test_rmss_holds_no_n_by_n_matrix():
+    n = 2048
+    rng = np.random.default_rng(5)
+    x = embedding_set(rng.standard_normal((n, 8)))
+    y = embedding_set(rng.standard_normal((n, 8)))
+    tracemalloc.start()
+    try:
+        rmss(x, y, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4  # a quarter of the float64 n x n cosine matrix
 
 
 def test_load_single_vector(tmp_path):
