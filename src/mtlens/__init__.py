@@ -18,6 +18,6 @@ from .robustness import RobustnessReport, consistency, robustness_report, robust
 from .semsim import EmbeddingSet, RmssResult, cosine, embedding_set, load_embeddings, pool_tokens, rmss, save_embeddings
 from .series import MetricSeries, SeriesPoint
 from .transformer import TransformerModel, Vocab, build_vocab, forward, init_model, load_model, load_vocab, save_model, save_vocab
-from .wordorder import ReorderingResult, TerResult, corpus_wordorder, frs, levenshtein, ter
+from .wordorder import WORDORDER_METRICS, ReorderingResult, TerResult, corpus_frs, corpus_wordorder, frs, levenshtein, ter
 
 __version__ = "0.1.0"

@@ -95,6 +95,20 @@ class TranslationTable:
         return float(self.prob_block((hyp_word,), (other_word,))[0, 0])
 
 
+def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list:
+    """The (hyp tokens, other tokens) pairs EM trains on: those with tokens on both sides.
+
+    Raises on a length mismatch or iterations < 1 whatever the pairs hold.
+    """
+    if len(hyp) != len(other):
+        raise DataError(
+            f"bitext length mismatch: {len(hyp)} vs {len(other)} sentences"
+        )
+    if iterations < 1:
+        raise DataError("need at least one EM iteration")
+    return [(h.tokens, o.tokens) for h, o in zip(hyp, other) if h.tokens and o.tokens]
+
+
 def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> TranslationTable:
     """Standard Model 1 EM over the (hyp, other) bitext.
 
@@ -103,13 +117,7 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
     data log-likelihood (under the parameters entering the iteration)
     is recorded on the returned table.
     """
-    if len(hyp) != len(other):
-        raise DataError(
-            f"bitext length mismatch: {len(hyp)} vs {len(other)} sentences"
-        )
-    if iterations < 1:
-        raise DataError("need at least one EM iteration")
-    pairs = [(h.tokens, o.tokens) for h, o in zip(hyp, other) if h.tokens and o.tokens]
+    pairs = trainable_pairs(hyp, other, iterations)
     if not pairs:
         raise DataError("empty bitext: no sentence pair has tokens on both sides")
 

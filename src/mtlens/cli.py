@@ -26,7 +26,7 @@ from .robustness import robustness_suite
 from .semsim import load_embeddings, rmss
 from .transformer import load_model, load_vocab
 from .wordorder import frs as frs_op
-from .wordorder import mean_or_none, score_defined
+from .wordorder import corpus_frs, mean_or_none, score_defined
 from .wordorder import ter as ter_op
 
 
@@ -83,20 +83,14 @@ def cmd_ter(args) -> dict:
 
 def cmd_frs(args) -> dict:
     hyp, other = _load_pair(args.hyp, args.other)
-    if args.align:
-        alignments = align_mod.read_pharaoh(args.align)
-        if len(alignments) != len(hyp):
-            raise DataError(
-                f"{args.align}: {len(alignments)} alignment lines for {len(hyp)} sentences"
-            )
-    else:
-        try:
-            alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-        except DataError:
-            if args.iters < 1:
-                raise
-            # no trainable pair: FRS is undefined for every sentence, as in report
-            return _mean_payload("frs", [], len(hyp), args.per_sentence)
+    if not args.align:
+        results, skipped = corpus_frs(hyp, other, args.iters)
+        return _mean_payload("frs", results, skipped, args.per_sentence)
+    alignments = align_mod.read_pharaoh(args.align)
+    if len(alignments) != len(hyp):
+        raise DataError(
+            f"{args.align}: {len(alignments)} alignment lines for {len(hyp)} sentences"
+        )
 
     def score(lineno, alignment, h, o):
         try:
@@ -220,6 +214,9 @@ def cmd_report(args) -> dict:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise UsageError("--metrics needs at least one metric name")
+    for i, metric in enumerate(metrics):
+        if metric in metrics[:i]:
+            raise UsageError(f"--metrics: metric {metric!r} given more than once")
     inputs = report_mod.ReportInputs(align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc)
     # load only what a requested metric reads
     if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):

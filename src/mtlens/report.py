@@ -16,18 +16,12 @@ from .lrp import contribution_stats, contributions
 from .quality import corpus_bleu
 from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
-from .wordorder import corpus_wordorder
+from .wordorder import WORDORDER_METRICS, corpus_wordorder
 
 # the metrics that read ReportInputs.embeddings, and those that read model/vocab
 RMSS_METRICS = ("rmss-vs-ref", "rmss-vs-src")
 RELEVANCE_METRICS = ("avg-src-contribution", "src-entropy", "tgt-entropy")
-KNOWN_METRICS = (
-    "bleu",
-    "frs-vs-ref",
-    "ter-vs-ref",
-    "frs-vs-src",
-    "ter-vs-src",
-) + RMSS_METRICS + RELEVANCE_METRICS
+KNOWN_METRICS = ("bleu",) + WORDORDER_METRICS + RMSS_METRICS + RELEVANCE_METRICS
 
 
 @dataclass
@@ -62,6 +56,13 @@ def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
 
 def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSeries:
     emb = inputs.embeddings
+    if not emb or side not in emb or "checkpoints" not in emb:
+        raise DataError(f"missing {side} embeddings")
+    missing = [
+        c.checkpoint_id for c in run.checkpoints if c.checkpoint_id not in emb["checkpoints"]
+    ]
+    if missing:
+        raise DataError(f"missing checkpoint embeddings for {missing}")
     x_set: EmbeddingSet = emb[side]
     points = []
     for ckpt in run.checkpoints:
@@ -72,6 +73,8 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
 
 
 def _lrp_series(run: AnalysisRun, inputs: ReportInputs) -> dict:
+    if inputs.model is None or inputs.vocab is None:
+        raise DataError("missing model/vocab")
     by_metric = {name: [] for name in RELEVANCE_METRICS}
     for ckpt in run.checkpoints:
         records = []
@@ -102,7 +105,8 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
     """Compute the requested metric series.
 
     Returns (series list in request order, notes list). A metric whose
-    inputs are unavailable is dropped from the series list and noted.
+    inputs are missing, or whose computation raises a DataError or
+    NumericError, is dropped from the series list and noted.
     """
     inputs = inputs or ReportInputs()
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
@@ -111,44 +115,17 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
 
     notes: list[str] = []
     computed: dict[str, MetricSeries] = {}
-
-    def need_embeddings(side):
-        emb = inputs.embeddings
-        if not emb or side not in emb or "checkpoints" not in emb:
-            return f"missing {side} embeddings"
-        missing = [
-            c.checkpoint_id
-            for c in run.checkpoints
-            if c.checkpoint_id not in emb["checkpoints"]
-        ]
-        if missing:
-            return f"missing checkpoint embeddings for {missing}"
-        return None
-
     for metric in metrics:
-        if metric in computed:
+        if metric in computed:  # one relevance pass fills all three series
             continue
         try:
             if metric == "bleu":
                 computed[metric] = _bleu_series(run, inputs)
-            elif metric in ("frs-vs-ref", "ter-vs-ref", "frs-vs-src", "ter-vs-src"):
-                versus = "reference" if metric.endswith("ref") else "source"
-                frs_series, ter_series = corpus_wordorder(
-                    run, versus=versus, iterations=inputs.align_iterations
-                )
-                computed[frs_series.metric_name] = frs_series
-                computed[ter_series.metric_name] = ter_series
+            elif metric in WORDORDER_METRICS:
+                computed[metric] = corpus_wordorder(run, metric, inputs.align_iterations)
             elif metric in RMSS_METRICS:
-                side = metric.rsplit("-", 1)[1]
-                problem = need_embeddings(side)
-                if problem:
-                    notes.append(f"{metric}: skipped ({problem})")
-                    continue
-                computed[metric] = _rmss_series(run, side, inputs)
-            else:  # relevance metrics
-                if inputs.model is None or inputs.vocab is None:
-                    notes.append(f"{metric}: skipped (missing model/vocab)")
-                    continue
+                computed[metric] = _rmss_series(run, metric.rsplit("-", 1)[1], inputs)
+            else:
                 computed.update(_lrp_series(run, inputs))
         except (DataError, NumericError) as exc:
             notes.append(f"{metric}: skipped ({exc})")

@@ -10,14 +10,22 @@ each before counting remaining insert/delete/substitute edits.
 The edit distance, with or without shifts, is computed bit-parallel
 over Python ints (see `levenshtein`); the full-table DP it must equal
 lives in the tests.
+
+`corpus_frs` is the one place FRS trains IBM-1: it aligns a whole
+bitext and scores each sentence, and a bitext with no trainable pair
+leaves every sentence skipped. `corpus_wordorder` gives one series per
+metric name of a run (`frs-vs-ref`, `ter-vs-ref`, `frs-vs-src`,
+`ter-vs-src`); TER is an edit distance and trains nothing.
 """
 
 from dataclasses import dataclass
 
-from .align import Alignment, train_model1, viterbi_align
-from .corpus import AnalysisRun, Sentence
+from .align import Alignment, train_model1, trainable_pairs, viterbi_align
+from .corpus import AnalysisRun, Corpus, Sentence
 from .errors import DataError
 from .series import MetricSeries, SeriesPoint
+
+WORDORDER_METRICS = ("frs-vs-ref", "ter-vs-ref", "frs-vs-src", "ter-vs-src")
 
 
 @dataclass(frozen=True)
@@ -170,42 +178,38 @@ def mean_or_none(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def corpus_wordorder(
-    run: AnalysisRun,
-    versus: str = "reference",
-    iterations: int = 10,
-) -> tuple[MetricSeries, MetricSeries]:
-    """Per-checkpoint mean FRS and mean TER series.
+def corpus_frs(hyp: Corpus, other: Corpus, iterations: int = 10) -> tuple[list, int]:
+    """FRS of each sentence over IBM-1 Viterbi links trained on this bitext.
 
-    versus selects the comparison side ("reference" or "source").
-    Sentences where a metric is undefined (empty other side) are
-    skipped and counted in the series point. TER needs no alignment;
-    when a checkpoint has no trainable pair, only its FRS point is
-    undefined.
+    Returns the ReorderingResult of every sentence whose other side has
+    tokens, and the number skipped. A bitext with no trainable pair
+    skips every sentence; a length mismatch or iterations < 1 raises
+    first.
     """
-    if versus not in ("reference", "source"):
-        raise DataError(f"versus must be 'reference' or 'source', got {versus!r}")
-    if iterations < 1:
-        raise DataError("need at least one EM iteration")
-    other = run.reference if versus == "reference" else run.source
-    frs_points = []
-    ter_points = []
+    if not trainable_pairs(hyp, other, iterations):
+        return [], len(hyp)
+    table = train_model1(hyp, other, iterations=iterations)
+    return score_defined(zip(hyp, other), lambda h, o: frs(viterbi_align(table, h, o), h, o))
+
+
+def corpus_wordorder(run: AnalysisRun, metric: str, iterations: int = 10) -> MetricSeries:
+    """Per-checkpoint mean of one of WORDORDER_METRICS.
+
+    The suffix picks the other side (reference or source); only FRS
+    reads iterations. Sentences where the metric is undefined are
+    skipped and counted in the series point.
+    """
+    if metric not in WORDORDER_METRICS:
+        raise DataError(f"unknown word-order metric {metric!r}")
+    kind, _, side = metric.split("-")
+    other = run.reference if side == "ref" else run.source
+    points = []
     for ckpt in run.checkpoints:
         hyp = ckpt.hypotheses
-        ters, skipped = score_defined(zip(hyp, other), lambda h, o: ter(h, o).ter)
-        ter_points.append(SeriesPoint(ckpt.checkpoint_id, mean_or_none(ters), skipped))
-        try:
-            table = train_model1(hyp, other, iterations=iterations)
-        except DataError:
-            # no trainable pair: the whole FRS point is undefined
-            frs_points.append(SeriesPoint(ckpt.checkpoint_id, None, len(hyp)))
-            continue
-        frss, skipped = score_defined(
-            zip(hyp, other), lambda h, o: frs(viterbi_align(table, h, o), h, o).frs
-        )
-        frs_points.append(SeriesPoint(ckpt.checkpoint_id, mean_or_none(frss), skipped))
-    suffix = "ref" if versus == "reference" else "src"
-    return (
-        MetricSeries(metric_name=f"frs-vs-{suffix}", points=tuple(frs_points)),
-        MetricSeries(metric_name=f"ter-vs-{suffix}", points=tuple(ter_points)),
-    )
+        if kind == "frs":
+            results, skipped = corpus_frs(hyp, other, iterations)
+            values = [r.frs for r in results]
+        else:
+            values, skipped = score_defined(zip(hyp, other), lambda h, o: ter(h, o).ter)
+        points.append(SeriesPoint(ckpt.checkpoint_id, mean_or_none(values), skipped))
+    return MetricSeries(metric_name=metric, points=tuple(points))

@@ -145,6 +145,13 @@ GOLDEN_CLI = (
           "--csv", "{OUT}/series2.csv", "--out", "{OUT}/report.json"], False),
         (["report", RUN, "--metrics", "bleu", "--csv", "", "--svg", "", "--out", ""], False),
         (["report", RUN, "--metrics", " , "], False),
+        (["report", RUN, "--embeddings", "{DATA}/emb3", "--metrics", "rmss-vs-src,rmss-vs-ref",
+          "--k", "2", "--csv", "{OUT}/rmss.csv"], False),
+        (["report", RUN, "--metrics", "ter-vs-ref,frs-vs-ref", "--iters", "2",
+          "--csv", "{OUT}/wordorder.csv"], False),
+        (["report", RUN, "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
+          "--metrics", "tgt-entropy,avg-src-contribution", "--csv", "{OUT}/relevance.csv"], False),
+        (["report", RUN, "--metrics", "rmss-vs-ref,tgt-entropy"], False),
     ]
 )
 

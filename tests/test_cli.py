@@ -411,12 +411,23 @@ def test_report_zero_iterations_noted(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["series"] == ["bleu"]
-    assert payload["notes"] == [
-        f"{m}: skipped (need at least one EM iteration)" for m in ("frs-vs-ref", "ter-vs-ref")
-    ]
-    assert "Traceback" not in err
+    # TER trains nothing, so only FRS is dropped
+    assert payload["series"] == ["bleu", "ter-vs-ref"]
+    assert payload["notes"] == ["frs-vs-ref: skipped (need at least one EM iteration)"]
+    assert err == payload["notes"][0] + "\n"
     assert run_cli(capsys, "frs", str(csv), str(csv), "--iters", "0")[0] == 2
+
+
+def test_report_repeated_metric_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    cases = (("bleu,bleu,ter-vs-ref", "bleu"), ("ter-vs-ref, bleu,ter-vs-ref", "ter-vs-ref"))
+    for metrics, name in cases:
+        code, out, err = run_cli(
+            capsys, "report", str(DATA_DIR / "run3"), "--metrics", metrics, "--csv", str(csv)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --metrics: metric {name!r} given more than once\n"
+        assert not csv.exists()
 
 
 def _close(got, want):

@@ -107,9 +107,8 @@ def test_collect_matches_direct_ops():
         direct = corpus_bleu(ckpt.hypotheses, run.reference).score
         assert by_name["bleu"].points[idx].value == pytest.approx(direct, abs=1e-9)
 
-    frs_direct, ter_direct = corpus_wordorder(run, "reference", iterations=5)
-    assert by_name["frs-vs-ref"].points == frs_direct.points
-    assert by_name["ter-vs-ref"].points == ter_direct.points
+    for metric in ("frs-vs-ref", "ter-vs-ref"):
+        assert by_name[metric].points == corpus_wordorder(run, metric, iterations=5).points
 
     for idx, ckpt in enumerate(run.checkpoints):
         direct = rmss(
@@ -118,6 +117,19 @@ def test_collect_matches_direct_ops():
             2,
         ).mean
         assert by_name["rmss-vs-ref"].points[idx].value == pytest.approx(direct, abs=1e-9)
+
+
+def test_collect_ter_trains_no_alignment(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("TER must not train IBM-1")
+
+    monkeypatch.setattr("mtlens.wordorder.train_model1", no_training)
+    monkeypatch.setattr("mtlens.align.train_model1", no_training)
+    run = fixture_run()
+    series, notes = collect(run, ["ter-vs-ref", "ter-vs-src"])
+    assert notes == []
+    assert [s.metric_name for s in series] == ["ter-vs-ref", "ter-vs-src"]
+    assert all(p.value is not None for s in series for p in s.points)
 
 
 def test_collect_lrp_metrics_present():

@@ -8,9 +8,17 @@ from mtlens.align import Alignment
 from mtlens.corpus import AnalysisRun, CheckpointRun
 from mtlens.errors import DataError
 from mtlens.rng import SplitMix64
-from mtlens.wordorder import corpus_wordorder, frs, levenshtein, ter
+from mtlens.wordorder import (
+    WORDORDER_METRICS,
+    corpus_frs,
+    corpus_wordorder,
+    frs,
+    levenshtein,
+    ter,
+)
 
 from conftest import make_corpus, make_sentence
+from wordorder_oracle import corpus_wordorder as oracle_wordorder
 
 
 def oracle_chunks(projected):
@@ -202,7 +210,8 @@ def test_corpus_wordorder_identity_fixture():
     # the identity hypothesis aligns monotonically
     ref = ["a b c", "a d e", "b d f", "c e f"]
     run = _tiny_run({"c1": ref}, ["w x", "w y", "x z", "y z"], ref)
-    frs_series, ter_series = corpus_wordorder(run, versus="reference", iterations=5)
+    frs_series = corpus_wordorder(run, "frs-vs-ref", iterations=5)
+    ter_series = corpus_wordorder(run, "ter-vs-ref", iterations=5)
     assert frs_series.points[0].value == pytest.approx(1.0)
     assert ter_series.points[0].value == pytest.approx(0.0)
     assert frs_series.points[0].skip_count == 0
@@ -215,7 +224,7 @@ def test_corpus_wordorder_improving_checkpoints():
         ["s t u v", "s t u v"],
         ref,
     )
-    _, ter_series = corpus_wordorder(run, versus="reference", iterations=5)
+    ter_series = corpus_wordorder(run, "ter-vs-ref", iterations=5)
     values = [p.value for p in ter_series.points]
     assert values[0] > values[1]
     assert values[1] == pytest.approx(0.0)
@@ -223,7 +232,8 @@ def test_corpus_wordorder_improving_checkpoints():
 
 def test_corpus_wordorder_skips_empty_reference():
     run = _tiny_run({"c1": ["a b", "c d"]}, ["x y", "z w"], ["a b", ""])
-    frs_series, ter_series = corpus_wordorder(run, versus="reference", iterations=3)
+    frs_series = corpus_wordorder(run, "frs-vs-ref", iterations=3)
+    ter_series = corpus_wordorder(run, "ter-vs-ref", iterations=3)
     assert frs_series.points[0].skip_count == 1
     assert ter_series.points[0].skip_count == 1
 
@@ -231,8 +241,10 @@ def test_corpus_wordorder_skips_empty_reference():
 def test_corpus_wordorder_versus_source():
     src = ["a b c", "a d e", "b d f", "c e f"]
     run = _tiny_run({"c1": src}, src, ["x y", "x z", "y z", "y x"])
-    frs_series, ter_series = corpus_wordorder(run, versus="source", iterations=5)
+    frs_series = corpus_wordorder(run, "frs-vs-src", iterations=5)
+    ter_series = corpus_wordorder(run, "ter-vs-src", iterations=5)
     assert frs_series.metric_name == "frs-vs-src"
+    assert ter_series.metric_name == "ter-vs-src"
     assert frs_series.points[0].value == pytest.approx(1.0)
     assert ter_series.points[0].value == pytest.approx(0.0)
 
@@ -240,9 +252,53 @@ def test_corpus_wordorder_versus_source():
 def test_corpus_wordorder_repeatable():
     ref = ["a b c", "d e f", "g h"]
     run = _tiny_run({"c1": ["a c b", "d e f", "h g"]}, ["1 2 3", "4 5 6", "7 8"], ref)
-    first = corpus_wordorder(run, versus="reference", iterations=4)
-    second = corpus_wordorder(run, versus="reference", iterations=4)
-    assert first == second
+    for metric in WORDORDER_METRICS:
+        first = corpus_wordorder(run, metric, iterations=4)
+        assert corpus_wordorder(run, metric, iterations=4) == first
+
+
+def test_corpus_wordorder_unknown_metric():
+    run = _tiny_run({"c1": ["a b"]}, ["x y"], ["a b"])
+    with pytest.raises(DataError, match="unknown word-order metric"):
+        corpus_wordorder(run, "bleu")
+
+
+def test_corpus_frs_untrainable_skips_every_sentence():
+    hyp = make_corpus(["a b", "", "c"])
+    assert corpus_frs(hyp, make_corpus(["", "x", ""]), iterations=3) == ([], 3)
+
+
+def test_corpus_frs_checks_inputs_before_untrainable_fallback():
+    # no pair has tokens on both sides, yet the bad inputs are named
+    with pytest.raises(DataError, match="length mismatch: 2 vs 1"):
+        corpus_frs(make_corpus(["a", ""]), make_corpus([""]), iterations=3)
+    with pytest.raises(DataError, match="need at least one EM iteration"):
+        corpus_frs(make_corpus(["a", ""]), make_corpus(["", ""]), iterations=0)
+
+
+@st.composite
+def small_runs(draw):
+    """1-3 checkpoints over 1-4 sentences, 2-3-word vocabularies and many
+    empty lines, so whole checkpoints with no trainable pair come up."""
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.sampled_from(["ab", "abc"]))
+    line = st.lists(st.sampled_from(vocab), max_size=3).map(" ".join)
+    lines = st.lists(line, min_size=n, max_size=n)
+    empty = st.just([""] * n)
+    hyps = {
+        f"c{i}": draw(st.one_of(lines, empty))
+        for i in range(draw(st.integers(1, 3)))
+    }
+    return _tiny_run(hyps, draw(lines), draw(st.one_of(lines, empty)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(run=small_runs(), iterations=st.integers(1, 3))
+def test_corpus_wordorder_matches_pair_oracle(run, iterations):
+    for versus, suffix in (("reference", "ref"), ("source", "src")):
+        frs_want, ter_want = oracle_wordorder(run, versus, iterations)
+        assert corpus_wordorder(run, f"frs-vs-{suffix}", iterations) == frs_want
+        assert corpus_wordorder(run, f"ter-vs-{suffix}", iterations) == ter_want
 
 
 def test_levenshtein_basics():
