@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, read_lines
+from .corpus import Corpus, Sentence, read_lines, write_text
 from .errors import DataError
 
 # conditioning-side NULL; None cannot collide with a real token string
@@ -194,8 +194,7 @@ def format_pharaoh(alignments) -> str:
 
 
 def write_pharaoh(alignments, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_pharaoh(alignments))
+    write_text(path, format_pharaoh(alignments))
 
 
 def read_pharaoh(path) -> list[Alignment]:

@@ -17,9 +17,9 @@ import sys
 
 from . import align as align_mod
 from . import report as report_mod
-from .corpus import load_corpus, load_run, save_corpus
+from .corpus import load_corpus, load_run, save_corpus, write_text
 from .errors import DataError, NumericError, UsageError
-from .lrp import contribution_stats, contributions
+from .lrp import NO_STATS, contribution_stats, contributions
 from .perturb import PerturbationKind, PerturbationSpec, perturb_corpus
 from .quality import corpus_bleu
 from .robustness import robustness_suite
@@ -28,14 +28,6 @@ from .transformer import load_model, load_vocab
 from .wordorder import frs as frs_op
 from .wordorder import corpus_frs, mean_or_none, score_defined
 from .wordorder import ter as ter_op
-
-
-def _write_out(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_pair(first_path, second_path):
@@ -135,15 +127,12 @@ def cmd_robust(args) -> str:
         if kind in perturbed:
             raise UsageError(f"--perturbed: kind {kind!r} given more than once")
         perturbed[kind] = load_run(path)
-    reports = robustness_suite(run, perturbed)
-    lines = ["checkpoint,kind,bleu_clean,bleu_pert,R,R_raw,C"]
-    for rep in reports:
-        lines.append(
-            f"{rep.checkpoint_id},{rep.kind},{rep.tq_clean.score:.12g},"
-            f"{rep.tq_perturbed.score:.12g},{rep.robustness:.12g},"
-            f"{rep.raw_ratio:.12g},{rep.consistency:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [["checkpoint", "kind", "bleu_clean", "bleu_pert", "R", "R_raw", "C"]]
+    for rep in robustness_suite(run, perturbed):
+        values = (rep.tq_clean.score, rep.tq_perturbed.score, rep.robustness,
+                  rep.raw_ratio, rep.consistency)
+        rows.append([rep.checkpoint_id, rep.kind, *map(report_mod.format_value, values)])
+    return report_mod.csv_text(rows)
 
 
 def cmd_rmss(args) -> dict:
@@ -151,7 +140,7 @@ def cmd_rmss(args) -> dict:
     y_set = load_embeddings(args.y_emb)
     result = rmss(x_set, y_set, args.k)
     if args.per_sentence:
-        _write_out(json.dumps(list(result.per_sentence)) + "\n", args.per_sentence)
+        write_text(args.per_sentence, json.dumps(list(result.per_sentence)) + "\n")
     return {
         "mean": result.mean,
         "k": result.k,
@@ -187,12 +176,9 @@ def cmd_lrp(args) -> str:
                     }
                 )
             )
-    if all_records:
-        stats = dataclasses.asdict(contribution_stats(all_records))
-        summary = {"summary": {**stats, "skipped_sentences": skipped}}
-    else:
-        summary = {"summary": None, "skipped_sentences": skipped}
-    out_lines.append(json.dumps(summary))
+    stats = contribution_stats(all_records) if all_records else NO_STATS
+    summary = {**dataclasses.asdict(stats), "skipped_sentences": skipped}
+    out_lines.append(json.dumps({"summary": summary}))
     return "\n".join(out_lines) + "\n"
 
 
@@ -210,13 +196,16 @@ def _load_report_embeddings(emb_dir, run):
 
 
 def cmd_report(args) -> dict:
-    run = load_run(args.run_dir)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise UsageError("--metrics needs at least one metric name")
     for i, metric in enumerate(metrics):
+        if metric not in report_mod.KNOWN_METRICS:
+            known = ", ".join(report_mod.KNOWN_METRICS)
+            raise UsageError(f"--metrics: unknown metric {metric!r}; known: {known}")
         if metric in metrics[:i]:
             raise UsageError(f"--metrics: metric {metric!r} given more than once")
+    run = load_run(args.run_dir)
     inputs = report_mod.ReportInputs(align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc)
     # load only what a requested metric reads
     if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
@@ -368,7 +357,10 @@ def main(argv=None) -> int:
         elif isinstance(result, dict):
             result = json.dumps(result, indent=2) + "\n"
         if result is not None:
-            _write_out(result, args.out)
+            if args.out:
+                write_text(args.out, result)
+            else:
+                sys.stdout.write(result)
         return 0
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,6 +368,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # stdout carries the bytes --out would write, whatever the locale
+    sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     sys.exit(main())
 
 

@@ -4,8 +4,9 @@ File contract: every text input is UTF-8 with LF line ends; a CR
 before an LF is ignored. read_lines() is the one reader behind every
 loader, so each loader error names the file and, where there is one,
 the line; read_array() is the one parser of the numeric rows in
-weight and embedding files. Corpora hold one sentence per line. A
-run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
+weight and embedding files. Every output file is UTF-8 with LF line
+ends, written whole by write_text(). Corpora hold one sentence per
+line. A run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
 Tokenization is whitespace splitting after Unicode NFC normalization;
 empty lines become zero-token sentences so line pairing across files
 is preserved.
@@ -79,6 +80,12 @@ def read_lines(path):
             yield lineno, text
 
 
+def write_text(path, text: str) -> None:
+    """Replace the file at path with text, as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def read_array(path, lines, nrows, ncols):
     """Parse the next nrows items of read_lines() output as an (nrows, ncols) array.
 
@@ -126,10 +133,7 @@ def load_corpus(path, name: str | None = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sent in corpus:
-            fh.write(sent.raw)
-            fh.write("\n")
+    write_text(path, "".join(f"{sent.raw}\n" for sent in corpus))
 
 
 @dataclass(frozen=True)

@@ -270,11 +270,15 @@ def contributions(
 
 @dataclass(frozen=True)
 class ContributionStats:
-    avg_source_contribution: float
-    source_entropy: float
-    target_entropy: float
+    avg_source_contribution: float | None
+    source_entropy: float | None
+    target_entropy: float | None
     steps: int
     target_steps: int  # steps that entered the target-entropy mean
+
+
+# the stats of no records at all: the three means are undefined
+NO_STATS = ContributionStats(None, None, None, 0, 0)
 
 
 def entropy(p) -> float:

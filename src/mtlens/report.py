@@ -3,16 +3,17 @@
 collect() computes one series per requested metric name; metrics
 whose extra inputs (embeddings, model) are missing produce a note
 instead of a crash. CSV rows are checkpoints, columns metrics, empty
-cells marking undefined points. SVG output assembles one 800x400
-line chart per series, stacked vertically in a single file.
+cells marking undefined points; csv_text() and format_value() also
+build the robust table. SVG output assembles one 800x400 line chart
+per series, stacked vertically in a single file.
 """
 
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .corpus import AnalysisRun
+from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
-from .lrp import contribution_stats, contributions
+from .lrp import NO_STATS, contribution_stats, contributions
 from .quality import corpus_bleu
 from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
@@ -84,15 +85,12 @@ def _lrp_series(run: AnalysisRun, inputs: ReportInputs) -> dict:
                 skipped += 1
                 continue
             records.extend(contributions(inputs.model, src, hyp, inputs.vocab))
-        if records:
-            stats = contribution_stats(records)
-            values = {
-                "avg-src-contribution": stats.avg_source_contribution,
-                "src-entropy": stats.source_entropy,
-                "tgt-entropy": stats.target_entropy,
-            }
-        else:
-            values = dict.fromkeys(by_metric, None)
+        stats = contribution_stats(records) if records else NO_STATS
+        values = {
+            "avg-src-contribution": stats.avg_source_contribution,
+            "src-entropy": stats.source_entropy,
+            "tgt-entropy": stats.target_entropy,
+        }
         for name, series_points in by_metric.items():
             series_points.append(SeriesPoint(ckpt.checkpoint_id, values[name], skipped))
     return {
@@ -134,8 +132,23 @@ def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
     return series, notes
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A number as a CSV cell: 12 significant digits, empty when undefined."""
     return "" if value is None else f"{value:.12g}"
+
+
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(rows) -> str:
+    """Rows of string cells as RFC 4180 CSV, but with LF row ends.
+
+    Only a cell that holds a comma, a double quote, CR or LF is quoted.
+    """
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def emit_csv(series_list, path) -> None:
@@ -148,11 +161,10 @@ def emit_csv(series_list, path) -> None:
             raise DataError(
                 f"series {s.metric_name!r} covers different checkpoints"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("checkpoint," + ",".join(s.metric_name for s in series_list) + "\n")
-        for row, ckpt_id in enumerate(ids):
-            cells = [_format_value(s.points[row].value) for s in series_list]
-            fh.write(ckpt_id + "," + ",".join(cells) + "\n")
+    rows = [["checkpoint"] + [s.metric_name for s in series_list]]
+    for row, ckpt_id in enumerate(ids):
+        rows.append([ckpt_id] + [format_value(s.points[row].value) for s in series_list])
+    write_text(path, csv_text(rows))
 
 
 CHART_W = 800
@@ -234,6 +246,4 @@ def emit_svg(series_list, path) -> None:
     for idx, series in enumerate(series_list):
         parts.append(_chart(series, idx * CHART_H))
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_array, read_lines
+from .corpus import read_array, read_lines, write_text
 from .errors import DataError
 from .wordorder import mean_or_none
 
@@ -168,8 +168,5 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{emb.count} {emb.dim}\n")
-        for row in emb.vectors:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    rows = (" ".join(f"{v:.17g}" for v in row) for row in emb.vectors)
+    write_text(path, "\n".join([f"{emb.count} {emb.dim}", *rows]) + "\n")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_array, read_lines
+from .corpus import read_array, read_lines, write_text
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -85,10 +85,7 @@ def load_vocab(path) -> Vocab:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tok in vocab.tokens:
-            fh.write(tok)
-            fh.write("\n")
+    write_text(path, "".join(f"{tok}\n" for tok in vocab.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +184,15 @@ def init_model(
 
 
 def save_model(model: TransformerModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mtlens-weights 1\n")
-        fh.write(f"layers {model.layers}\n")
-        fh.write(f"heads {model.heads}\n")
-        fh.write(f"dim {model.dim}\n")
-        fh.write(f"ffn {model.ffn}\n")
-        fh.write(f"vocab {model.vocab_size}\n")
-        for name in sorted(model.weights):
-            arr = model.weights[name]
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"array {name} {dims}\n")
-            rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
-            for row in rows:
-                fh.write(" ".join(f"{v:.17g}" for v in row))
-                fh.write("\n")
+    lines = ["mtlens-weights 1", f"layers {model.layers}", f"heads {model.heads}",
+             f"dim {model.dim}", f"ffn {model.ffn}", f"vocab {model.vocab_size}"]
+    for name in sorted(model.weights):
+        arr = model.weights[name]
+        dims = " ".join(str(d) for d in arr.shape)
+        lines.append(f"array {name} {dims}")
+        rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
+        lines.extend(" ".join(f"{v:.17g}" for v in row) for row in rows)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> TransformerModel:

@@ -11,8 +11,9 @@ frozen snapshot of the relevance pipeline as it ran one pass per step,
 and it stays the oracle the one-pass pipeline must meet at atol 1e-6.
 
 golden_cli.json records, for each command in GOLDEN_CLI, the argv,
-exit code, stdout, stderr and the files it wrote, with {DATA} standing
-for this data directory and {OUT} for an empty output directory.
+exit code, stdout, stderr and the files it wrote (decoded as they are,
+so a CR in a file shows), with {DATA} standing for this data
+directory and {OUT} for an empty output directory.
 test_cli.py replays it with COLUMNS=80, so help and usage text wrap
 the same way. Commands marked approx print values that pass through
 BLAS products; the replay compares them as parsed JSON within 1e-12.
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from mtlens.cli import main as cli_main
-from mtlens.corpus import Corpus, Sentence, load_corpus, save_corpus
+from mtlens.corpus import load_corpus, write_text
 from mtlens.rng import SplitMix64
 from mtlens.semsim import embedding_set, save_embeddings
 from mtlens.transformer import build_vocab, init_model, load_model, save_model, save_vocab
@@ -72,10 +73,7 @@ def degrade(lines, vocab, n_subs, n_swaps, seed):
 
 def write_lines(path, lines):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    write_text(path, "".join(f"{line}\n" for line in lines))
 
 
 def label_seed(label):
@@ -98,6 +96,11 @@ RUN = "{DATA}/run3"
 HYP = RUN + "/checkpoints/000100/hyp.txt"
 REF = RUN + "/ref.txt"
 SRC = RUN + "/src.txt"
+# run3's sources and checkpoint ids, with every ref.txt and hyp.txt line blank
+BLANK = "{DATA}/blank"
+# one checkpoint whose id holds a comma, so CSV cells must be quoted
+COMMA = "{DATA}/comma"
+MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
 SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
 
 # (argv, approx); commands run in this order, sharing one {OUT} directory
@@ -152,12 +155,21 @@ GOLDEN_CLI = (
         (["report", RUN, "--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt",
           "--metrics", "tgt-entropy,avg-src-contribution", "--csv", "{OUT}/relevance.csv"], False),
         (["report", RUN, "--metrics", "rmss-vs-ref,tgt-entropy"], False),
+        (["report", BLANK, "--metrics", "bleu,ter-vs-ref,frs-vs-ref",
+          "--csv", "{OUT}/blank.csv", "--svg", "{OUT}/blank.svg"], False),
+        (["report", BLANK, *MODEL, "--metrics", "tgt-entropy",
+          "--csv", "{OUT}/blank_relevance.csv"], False),
+        (["robust", "--clean", RUN, "--perturbed", "blank=" + BLANK], False),
+        (["lrp", *MODEL, BLANK + "/ref.txt", BLANK + "/ref.txt"], False),
+        (["report", COMMA, "--metrics", "bleu,ter-vs-ref", "--csv", "{OUT}/comma.csv"], False),
+        (["robust", "--clean", COMMA, "--perturbed", "x,y=" + COMMA], False),
+        (["report", RUN, "--metrics", "bleu,foo"], False),
     ]
 )
 
 
 def _snapshot(root):
-    return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+    return {p.relative_to(root).as_posix(): p.read_bytes().decode("utf-8")
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
@@ -193,9 +205,7 @@ def golden_cli():
                 "files": {name: blank(text) for name, text in after.items()
                           if before.get(name) != text},
             })
-    with open(DATA / "golden_cli.json", "w", encoding="utf-8") as fh:
-        json.dump(cases, fh, indent=1)
-        fh.write("\n")
+    write_text(DATA / "golden_cli.json", json.dumps(cases, indent=1) + "\n")
 
 
 def main():
@@ -214,6 +224,16 @@ def main():
     write_lines(run / "ref.txt", ref_lines)
     for ckpt_id, lines in ckpts.items():
         write_lines(run / "checkpoints" / ckpt_id / "hyp.txt", lines)
+
+    blank = DATA / "blank"
+    write_lines(blank / "src.txt", src_lines)
+    for rel in ["ref.txt"] + [f"checkpoints/{ckpt_id}/hyp.txt" for ckpt_id in ckpts]:
+        write_lines(blank / rel, [""] * len(src_lines))
+
+    comma = DATA / "comma"
+    write_lines(comma / "src.txt", src_lines[:2])
+    write_lines(comma / "ref.txt", ref_lines[:2])
+    write_lines(comma / "checkpoints" / "a,b" / "hyp.txt", ref_lines[:2])
 
     emb = DATA / "emb3"
     (emb / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -246,9 +266,7 @@ def main():
                 "logits": [float(v) for v in logits],
             }
         )
-    with open(DATA / "golden_logits.json", "w", encoding="utf-8") as fh:
-        json.dump(cases, fh, indent=1)
-        fh.write("\n")
+    write_text(DATA / "golden_logits.json", json.dumps(cases, indent=1) + "\n")
 
     golden_cli()
     print("fixtures written to", DATA)

@@ -1,11 +1,18 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from mtlens.cli import main
 
 from conftest import DATA_DIR
+
+SRC_DIR = DATA_DIR.parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -468,7 +475,7 @@ def test_golden_cli_replay(tmp_path, capsys, monkeypatch):
         got = {"stdout": out}
         want = {"stdout": fill(case["stdout"])}
         for name, text in case["files"].items():
-            got[name] = (tmp_path / name).read_text(encoding="utf-8")
+            got[name] = (tmp_path / name).read_bytes().decode("utf-8")
             want[name] = fill(text)
         written.update(case["files"])
         for key in want:
@@ -514,3 +521,68 @@ def test_report_notes_precede_emission_error(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "rmss-vs-ref: skipped (missing ref embeddings)\nerror: no series to emit\n"
+
+
+def test_report_unknown_metric_is_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    # named before the run directory is read, so a missing one does not hide it
+    for run in (DATA_DIR / "run3", tmp_path / "missing"):
+        code, out, err = run_cli(
+            capsys, "report", str(run), "--metrics", "bleu,foo", "--csv", str(csv_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --metrics: unknown metric 'foo'; known: bleu, ")
+        assert not csv_path.exists()
+
+
+def test_csv_cells_with_commas_read_back(tmp_path, capsys):
+    comma = str(DATA_DIR / "comma")
+    csv_path = tmp_path / "comma.csv"
+    code, _, _ = run_cli(capsys, "report", comma, "--metrics", "bleu", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["checkpoint", "bleu"], ["a,b", "100"]]
+    code, out, _ = run_cli(capsys, "robust", "--clean", comma, "--perturbed", f"x,y={comma}")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == ["checkpoint", "kind", "bleu_clean", "bleu_pert", "R", "R_raw", "C"]
+    assert rows[1] == ["a,b", "x,y", "100", "100", "1", "1", "100"]
+
+
+def test_lrp_summary_has_one_shape(tmp_path, capsys):
+    model = ["--model", str(DATA_DIR / "fixture.wts"), "--vocab", str(DATA_DIR / "vocab.txt")]
+    src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+    write(src, "ka ke\n\n")
+    summaries = []
+    for text in ("ra re\n\n", "\n\n"):  # one pair scored, then none
+        write(tgt, text)
+        code, out, _ = run_cli(capsys, "lrp", *model, str(src), str(tgt))
+        assert code == 0
+        summaries.append(json.loads(out.splitlines()[-1]))
+    scored, empty = summaries
+    assert list(scored) == list(empty) == ["summary"]
+    assert list(scored["summary"]) == list(empty["summary"])
+    assert scored["summary"]["skipped_sentences"] == 1
+    assert empty["summary"] == {
+        "avg_source_contribution": None, "source_entropy": None, "target_entropy": None,
+        "steps": 0, "target_steps": 0, "skipped_sentences": 2,
+    }
+
+
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
+    ref = ["a b c d", "e f g h"]
+    run = _run_dir(tmp_path / "run", ref, {"қаз": ref})
+    out_path = tmp_path / "table.csv"
+    argv = ["robust", "--clean", str(run), "--perturbed", str(run)]
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": path}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", "from mtlens.cli import entry; entry()", *argv, *extra],
+            env=env, capture_output=True, timeout=60,
+        )
+        for extra in ([], ["--out", str(out_path)])
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
+    assert runs[0].stdout == out_path.read_bytes()
+    assert "қаз,run," in runs[0].stdout.decode("utf-8")

@@ -1,9 +1,11 @@
 """Property tests: every loader either loads or raises a DataError that
 names the file, and the CLI keeps its exit-code contract, on arbitrary
 bytes, truncated fixture files and fixture files with one token
-replaced by random text."""
+replaced by random text. Every writer reproduces the fixture its loader
+read, and every CSV table reads back cell for cell."""
 
 import contextlib
+import csv
 import io
 import re
 import shutil
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 
 from mtlens.align import read_pharaoh
 from mtlens.cli import main
-from mtlens.corpus import load_corpus, load_run
+from mtlens.corpus import load_corpus, load_run, save_corpus
 from mtlens.errors import DataError
-from mtlens.semsim import load_embeddings
-from mtlens.transformer import init_model, load_model, load_vocab, save_model
+from mtlens.report import emit_csv, format_value
+from mtlens.semsim import load_embeddings, save_embeddings
+from mtlens.series import MetricSeries, SeriesPoint
+from mtlens.transformer import init_model, load_model, load_vocab, save_model, save_vocab
 
 import loader_oracle
 from conftest import DATA_DIR
@@ -257,3 +261,44 @@ def test_block_parser_reads_fixture_like_row_parser(kind):
             assert got == outcome(oracle, p)[0]
             assert not isinstance(got, str)
             assert err == "" and caught == []
+
+
+# -- the writers: each save_* inverts its loader, and every CSV reads back ------
+
+
+def test_writers_reproduce_fixtures():
+    cases = [(load_model, save_model, DATA_DIR / "fixture.wts"),
+             (load_vocab, save_vocab, DATA_DIR / "vocab.txt")]
+    cases += [(load_embeddings, save_embeddings, p) for p in DATA_DIR.glob("emb3/**/*.emb")]
+    cases += [(load_corpus, save_corpus, p) for p in DATA_DIR.glob("run3/**/*.txt")]
+    assert len(cases) == 2 + 5 + 5
+    with scratch_dir() as root:
+        for load, save, path in cases:
+            save(load(path), root / "copy")
+            assert (root / "copy").read_bytes() == path.read_bytes(), path
+
+
+# cells that need quoting, and some that do not
+CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "7", "қ", "é", "\u2028"]))
+
+
+@PROPERTY
+@given(
+    names=st.lists(CSV_TEXT, min_size=1, max_size=3),
+    ids=st.lists(CSV_TEXT, max_size=4),
+    data=st.data(),
+)
+def test_emit_csv_reads_back(names, ids, data):
+    values = st.one_of(st.none(), st.floats(allow_nan=False))
+    table = [[data.draw(values) for _ in names] for _ in ids]
+    series = [
+        MetricSeries(name, tuple(SeriesPoint(i, row[k], 0) for i, row in zip(ids, table)))
+        for k, name in enumerate(names)
+    ]
+    with scratch_dir() as root:
+        emit_csv(series, root / "t.csv")
+        with open(root / "t.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows == [["checkpoint", *names]] + [
+        [i, *map(format_value, row)] for i, row in zip(ids, table)
+    ]
