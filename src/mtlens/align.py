@@ -52,15 +52,8 @@ PROB_FLOOR = 1e-12
 _PHARAOH_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
 
-@dataclass(frozen=True)
-class Alignment:
-    links: frozenset  # of (hyp_index, other_index)
-
-    def sorted_links(self) -> list:
-        return sorted(self.links)
-
-    def __len__(self) -> int:
-        return len(self.links)
+# an alignment is its set of (hyp_index, other_index) links
+Alignment = frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +163,13 @@ def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Al
     Tokens whose best candidate has zero probability stay unlinked.
     """
     if not hyp.tokens or not other.tokens:
-        return Alignment(links=frozenset())
+        return frozenset()
     block = table.prob_block(hyp.tokens, (NULL,) + other.tokens)
     null_p, real = block[:, 0], block[:, 1:]
     best_j = real.argmax(axis=1)  # the first maximum
     best_p = real.max(axis=1)
     linked = np.flatnonzero((best_p > 0.0) & (null_p <= best_p))
-    return Alignment(links=frozenset(zip(linked.tolist(), best_j[linked].tolist())))
+    return frozenset(zip(linked.tolist(), best_j[linked].tolist()))
 
 
 def align_corpora(
@@ -189,7 +182,7 @@ def align_corpora(
 
 def format_pharaoh(alignments) -> str:
     return "".join(
-        " ".join(f"{i}-{j}" for i, j in aln.sorted_links()) + "\n" for aln in alignments
+        " ".join(f"{i}-{j}" for i, j in sorted(aln)) + "\n" for aln in alignments
     )
 
 
@@ -208,5 +201,5 @@ def read_pharaoh(path) -> list[Alignment]:
                     f"{path}: line {lineno}: malformed alignment token {token!r}"
                 )
             links.add((int(m.group(1)), int(m.group(2))))
-        alignments.append(Alignment(links=frozenset(links)))
+        alignments.append(frozenset(links))
     return alignments

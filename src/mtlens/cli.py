@@ -19,7 +19,7 @@ from . import align as align_mod
 from . import report as report_mod
 from .corpus import load_corpus, load_run, save_corpus, write_text
 from .errors import DataError, NumericError, UsageError
-from .lrp import NO_STATS, contribution_stats, contributions
+from .lrp import contributions  # noqa: F401 (benchmarks/spans.py wraps this name)
 from .perturb import PerturbationKind, PerturbationSpec, perturb_corpus
 from .quality import corpus_bleu
 from .robustness import robustness_suite
@@ -117,12 +117,11 @@ def cmd_perturb(args) -> None:
 def cmd_robust(args) -> str:
     run = load_run(args.clean)
     if args.ref:
-        ref = load_corpus(args.ref, name="ref")
-        run = dataclasses.replace(run, reference=ref)
+        run = dataclasses.replace(run, reference=load_corpus(args.ref))
     perturbed = {}
     for item in args.perturbed:
         kind, eq, path = item.partition("=")
-        if not eq:
+        if not eq or "/" in kind:  # a bare directory, maybe with "=" in its path
             kind, path = os.path.basename(os.path.normpath(item)), item
         if kind in perturbed:
             raise UsageError(f"--perturbed: kind {kind!r} given more than once")
@@ -154,29 +153,22 @@ def cmd_lrp(args) -> str:
     model = load_model(args.model)
     vocab = load_vocab(args.vocab)
     src, tgt = _load_pair(args.src, args.tgt)
-    out_lines = []
-    all_records = []
-    skipped = 0
-    for idx, (s, t) in enumerate(zip(src, tgt)):
-        if not s.tokens or not t.tokens:
-            skipped += 1
-            continue
-        for rec in contributions(model, s, t, vocab):
-            all_records.append(rec)
-            out_lines.append(
-                json.dumps(
-                    {
-                        "sentence": idx,
-                        "step": rec.step,
-                        "r_source": rec.r_source,
-                        "r_target": rec.r_target,
-                        "source_rel": [float(v) for v in rec.source_rel],
-                        "target_rel": [float(v) for v in rec.target_rel],
-                        "predicted_id": rec.predicted_id,
-                    }
-                )
-            )
-    stats = contribution_stats(all_records) if all_records else NO_STATS
+    scored, stats, skipped = report_mod.corpus_contributions(model, vocab, src, tgt)
+    out_lines = [
+        json.dumps(
+            {
+                "sentence": idx,
+                "step": rec.step,
+                "r_source": rec.r_source,
+                "r_target": rec.r_target,
+                "source_rel": [float(v) for v in rec.source_rel],
+                "target_rel": [float(v) for v in rec.target_rel],
+                "predicted_id": rec.predicted_id,
+            }
+        )
+        for idx, records in scored
+        for rec in records
+    ]
     summary = {**dataclasses.asdict(stats), "skipped_sentences": skipped}
     out_lines.append(json.dumps({"summary": summary}))
     return "\n".join(out_lines) + "\n"
@@ -335,6 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_distinct_outputs(args) -> None:
+    """Refuse two output paths that name one file; F and ./F count as one, "" as none."""
+    written = {}
+    for dest in ("csv", "svg", "per_sentence", "out"):
+        path = getattr(args, dest, None)
+        if isinstance(path, str) and path:  # ter/frs --per-sentence is a flag
+            option = "--" + dest.replace("_", "-")
+            first = written.setdefault(os.path.realpath(path), option)
+            if first != option:
+                raise UsageError(f"{first} and {option} both write {path}")
+
+
 _EXIT_CODES = {
     UsageError: 1,
     DataError: 2,
@@ -350,6 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_distinct_outputs(args)
         result = args.func(args)
         if isinstance(result, dict) and args.format == "text":
             value = result[args.headline]

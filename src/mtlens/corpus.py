@@ -42,19 +42,8 @@ class Sentence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    name: str
-    sentences: tuple[Sentence, ...]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __getitem__(self, i):
-        return self.sentences[i]
+# a corpus is its sentences, in line order
+Corpus = tuple[Sentence, ...]
 
 
 def read_lines(path):
@@ -122,14 +111,9 @@ def read_array(path, lines, nrows, ncols):
         raise DataError(f"{path}: bad header counts {nrows} {ncols}") from exc
 
 
-def load_corpus(path, name: str | None = None) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read one sentence per line; a blank line is a zero-token sentence."""
-    if name is None:
-        name = os.path.basename(str(path))
-    return Corpus(
-        name=name,
-        sentences=tuple(Sentence.from_line(text) for _, text in read_lines(path)),
-    )
+    return tuple(Sentence.from_line(text) for _, text in read_lines(path))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -161,8 +145,8 @@ def load_run(run_dir) -> AnalysisRun:
     for p in (src_path, ref_path):
         if not os.path.isfile(p):
             raise DataError(f"run layout incomplete: missing {p}")
-    source = load_corpus(src_path, name="src")
-    reference = load_corpus(ref_path, name="ref")
+    source = load_corpus(src_path)
+    reference = load_corpus(ref_path)
     if len(reference) != len(source):
         raise DataError(
             f"{ref_path} has {len(reference)} sentences but {src_path} has {len(source)}"
@@ -179,7 +163,7 @@ def load_run(run_dir) -> AnalysisRun:
         hyp_path = os.path.join(sub, "hyp.txt")
         if not os.path.isfile(hyp_path):
             raise DataError(f"checkpoint {ckpt_id}: missing {hyp_path}")
-        hyp = load_corpus(hyp_path, name=f"hyp@{ckpt_id}")
+        hyp = load_corpus(hyp_path)
         if len(hyp) != len(source):
             raise DataError(
                 f"{hyp_path}: {len(hyp)} hypotheses for {len(source)} sources"

@@ -277,10 +277,6 @@ class ContributionStats:
     target_steps: int  # steps that entered the target-entropy mean
 
 
-# the stats of no records at all: the three means are undefined
-NO_STATS = ContributionStats(None, None, None, 0, 0)
-
-
 def entropy(p) -> float:
     """Natural-log entropy of a distribution; 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
@@ -293,11 +289,12 @@ def contribution_stats(records) -> ContributionStats:
 
     Entropies are computed on each step's relevance vector after
     renormalizing it to sum 1; steps whose side has zero total mass
-    are excluded from that side's mean.
+    are excluded from that side's mean. With no records at all, the
+    three means are undefined (None).
     """
     records = list(records)
     if not records:
-        raise DataError("no relevance records to aggregate")
+        return ContributionStats(None, None, None, 0, 0)
     src_contrib = []
     src_entropies = []
     tgt_entropies = []

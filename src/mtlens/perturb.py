@@ -98,4 +98,4 @@ def perturb_corpus(corpus: Corpus, spec: PerturbationSpec) -> Corpus:
                 out.append(Sentence.from_tokens(transform(list(sent.tokens))))
             else:
                 out.append(sent)
-    return Corpus(name=f"{corpus.name}+{spec.kind.value}", sentences=tuple(out))
+    return tuple(out)

@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape
 
 from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
-from .lrp import NO_STATS, contribution_stats, contributions
+from .lrp import contribution_stats, contributions
 from .quality import corpus_bleu
 from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
@@ -30,7 +30,7 @@ class ReportInputs:
     """Optional inputs some metrics need.
 
     embeddings: {"ref": EmbeddingSet, "src": EmbeddingSet,
-                 "checkpoints": {id: EmbeddingSet}}
+                 "checkpoints": {id: EmbeddingSet}}, one vector per run sentence each
     model/vocab: transformer + vocabulary for relevance metrics.
     """
 
@@ -65,6 +65,14 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
     if missing:
         raise DataError(f"missing checkpoint embeddings for {missing}")
     x_set: EmbeddingSet = emb[side]
+    n = len(run.source)
+    sets = [(f"{side}.emb", x_set)] + [
+        (f"checkpoints/{c.checkpoint_id}/hyp.emb", emb["checkpoints"][c.checkpoint_id])
+        for c in run.checkpoints
+    ]
+    for name, emb_set in sets:
+        if emb_set.count != n:
+            raise DataError(f"{name} holds {emb_set.count} vectors for {n} sentences")
     points = []
     for ckpt in run.checkpoints:
         y_set = emb["checkpoints"][ckpt.checkpoint_id]
@@ -73,19 +81,31 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
     return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points))
 
 
+def corpus_contributions(model, vocab, sources, targets):
+    """Relevance records of every (source, target) pair with tokens on both sides.
+
+    Returns [(pair index, records)] in pair order, the ContributionStats
+    of all those records and the number of pairs skipped.
+    """
+    scored = []
+    skipped = 0
+    for idx, (src, tgt) in enumerate(zip(sources, targets)):
+        if src.tokens and tgt.tokens:
+            scored.append((idx, contributions(model, src, tgt, vocab)))
+        else:
+            skipped += 1
+    stats = contribution_stats([rec for _, records in scored for rec in records])
+    return scored, stats, skipped
+
+
 def _lrp_series(run: AnalysisRun, inputs: ReportInputs) -> dict:
     if inputs.model is None or inputs.vocab is None:
         raise DataError("missing model/vocab")
     by_metric = {name: [] for name in RELEVANCE_METRICS}
     for ckpt in run.checkpoints:
-        records = []
-        skipped = 0
-        for src, hyp in zip(run.source, ckpt.hypotheses):
-            if not src.tokens or not hyp.tokens:
-                skipped += 1
-                continue
-            records.extend(contributions(inputs.model, src, hyp, inputs.vocab))
-        stats = contribution_stats(records) if records else NO_STATS
+        _, stats, skipped = corpus_contributions(
+            inputs.model, inputs.vocab, run.source, ckpt.hypotheses
+        )
         values = {
             "avg-src-contribution": stats.avg_source_contribution,
             "src-entropy": stats.source_entropy,

@@ -49,7 +49,7 @@ def _projection(alignment: Alignment, hyp: Sentence) -> list[int]:
     unaligned tokens are dropped.
     """
     by_i: dict[int, int] = {}
-    for i, j in alignment.links:
+    for i, j in alignment:
         if i not in by_i or j < by_i[i]:
             by_i[i] = j
     return [by_i[i] for i in range(len(hyp.tokens)) if i in by_i]
@@ -59,7 +59,7 @@ def frs(alignment: Alignment, hyp: Sentence, other: Sentence) -> ReorderingResul
     m = len(other.tokens)
     if m == 0:
         raise DataError("FRS undefined against an empty sentence")
-    for i, j in alignment.links:
+    for i, j in alignment:
         if not (0 <= i < len(hyp.tokens) and 0 <= j < m):
             raise DataError(f"alignment link ({i},{j}) out of range")
     projected = _projection(alignment, hyp)

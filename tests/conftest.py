@@ -1,7 +1,7 @@
 import sys
 from pathlib import Path
 
-from mtlens.corpus import Corpus, Sentence
+from mtlens.corpus import Sentence
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -19,8 +19,8 @@ def pytest_terminal_summary(terminalreporter):
         )
 
 
-def make_corpus(lines, name="test"):
-    return Corpus(name=name, sentences=tuple(Sentence.from_line(l) for l in lines))
+def make_corpus(lines):
+    return tuple(Sentence.from_line(l) for l in lines)
 
 
 def make_sentence(text):

@@ -164,6 +164,10 @@ GOLDEN_CLI = (
         (["report", COMMA, "--metrics", "bleu,ter-vs-ref", "--csv", "{OUT}/comma.csv"], False),
         (["robust", "--clean", COMMA, "--perturbed", "x,y=" + COMMA], False),
         (["report", RUN, "--metrics", "bleu,foo"], False),
+        (["report", RUN, "--metrics", "bleu", "--csv", "{OUT}/same.txt",
+          "--svg", "{OUT}/same.txt", "--out", "{OUT}/same.txt"], False),
+        (["rmss", "--k", "2", "{DATA}/emb3/ref.emb", "{DATA}/emb3/checkpoints/000100/hyp.emb",
+          "--per-sentence", "{OUT}/same.json", "--out", "{OUT}/./same.json"], True),
     ]
 )
 
@@ -244,8 +248,8 @@ def main():
         d.mkdir(parents=True, exist_ok=True)
         save_embeddings(corpus_embeddings(lines, f"hyp@{ckpt_id}"), d / "hyp.emb")
 
-    src_corpus = load_corpus(run / "src.txt", "src")
-    ref_corpus = load_corpus(run / "ref.txt", "ref")
+    src_corpus = load_corpus(run / "src.txt")
+    ref_corpus = load_corpus(run / "ref.txt")
     vocab = build_vocab([src_corpus, ref_corpus])
     save_vocab(vocab, DATA / "vocab.txt")
 

@@ -93,4 +93,4 @@ def viterbi_align(table, hyp, other) -> Alignment:
                 best_j = j
         if best_j >= 0 and table.prob(h, NULL) <= best_p:
             links.add((i, best_j))
-    return Alignment(links=frozenset(links))
+    return frozenset(links)

@@ -360,7 +360,7 @@ def test_criterion_8_ibm_model1():
             ok = False
     for h_sent, o_sent in zip(hyp, other):
         aln = viterbi_align(table, h_sent, o_sent)
-        if (0, 0) not in aln.links:  # the <-> das leads both sentences
+        if (0, 0) not in aln:  # the <-> das leads both sentences
             ok = False
     _report(8, "IBM Model 1", ok)
 

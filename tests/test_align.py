@@ -77,7 +77,7 @@ def test_viterbi_identity_pair():
     hyp = make_corpus(["w"])
     table = train_model1(hyp, hyp, iterations=2)
     aln = viterbi_align(table, make_sentence("w"), make_sentence("w"))
-    assert aln.links == frozenset({(0, 0)})
+    assert aln == frozenset({(0, 0)})
 
 
 def test_viterbi_das_haus():
@@ -85,13 +85,13 @@ def test_viterbi_das_haus():
     other = make_corpus(["das haus", "das buch"])
     table = train_model1(hyp, other, iterations=20)
     aln = viterbi_align(table, make_sentence("the house"), make_sentence("das haus"))
-    assert aln.links == frozenset({(0, 0), (1, 1)})
+    assert aln == frozenset({(0, 0), (1, 1)})
 
 
 def test_viterbi_unseen_word_unlinked():
     table = train_model1(make_corpus(["a"]), make_corpus(["x"]), iterations=2)
     aln = viterbi_align(table, make_sentence("zzz"), make_sentence("x"))
-    assert aln.links == frozenset()
+    assert aln == frozenset()
 
 
 def test_viterbi_at_most_one_link_per_token():
@@ -100,7 +100,7 @@ def test_viterbi_at_most_one_link_per_token():
     table = train_model1(hyp, other, iterations=5)
     for h, o in zip(hyp, other):
         aln = viterbi_align(table, h, o)
-        hyp_indexes = [i for i, _ in aln.links]
+        hyp_indexes = [i for i, _ in aln]
         assert len(hyp_indexes) == len(set(hyp_indexes))
 
 
@@ -112,7 +112,7 @@ def test_null_absorbs_only_on_strictly_higher_probability():
     # real position must win the tie
     assert table.prob("the", NULL) == pytest.approx(table.prob("the", "das"))
     aln = viterbi_align(table, make_sentence("the house"), make_sentence("das haus"))
-    assert (0, 0) in aln.links
+    assert (0, 0) in aln
 
 
 def test_pharaoh_roundtrip(tmp_path):
@@ -124,7 +124,7 @@ def test_pharaoh_roundtrip(tmp_path):
     p = tmp_path / "a.aln"
     write_pharaoh(alignments, p)
     back = read_pharaoh(p)
-    assert [a.links for a in back] == [a.links for a in alignments]
+    assert back == alignments
 
 
 def test_pharaoh_format(tmp_path):

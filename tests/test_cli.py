@@ -3,12 +3,16 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from mtlens.cli import main
+from mtlens.corpus import load_run
+from mtlens.report import RELEVANCE_METRICS, ReportInputs, collect
+from mtlens.transformer import load_model, load_vocab
 
 from conftest import DATA_DIR
 
@@ -586,3 +590,79 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
     assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
     assert runs[0].stdout == out_path.read_bytes()
     assert "қаз,run," in runs[0].stdout.decode("utf-8")
+
+
+def test_colliding_outputs_exit_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    emb = str(DATA_DIR / "emb3" / "ref.emb")
+    cases = (
+        (["report", str(DATA_DIR / "run3"), "--metrics", "bleu", "--csv", "F", "--svg", "G",
+          "--out", "./F"], "error: --csv and --out both write ./F\n"),
+        (["rmss", emb, emb, "--per-sentence", str(tmp_path / "F"), "--out", "F"],
+         "error: --per-sentence and --out both write F\n"),
+    )
+    for argv, message in cases:
+        assert run_cli(capsys, *argv) == (1, "", message)
+        assert list(tmp_path.iterdir()) == []
+    # an empty path is not given, so it collides with nothing
+    code, _, _ = run_cli(capsys, "report", str(DATA_DIR / "run3"), "--metrics", "bleu",
+                         "--csv", "", "--svg", "", "--out", "")
+    assert code == 0
+
+
+def test_robust_bare_directory_with_equals_sign(tmp_path, capsys):
+    run = DATA_DIR / "run3"
+    bare = tmp_path / "x" / "a=b"
+    shutil.copytree(run, bare)
+    code, out, err = run_cli(capsys, "robust", "--clean", str(run), "--perturbed", str(bare))
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [row[1] for row in rows[1:]] == ["a=b"] * 3
+    # KIND=DIR still splits where the kind holds no "/"
+    code, out, _ = run_cli(capsys, "robust", "--clean", str(run), "--perturbed", f"k={bare}")
+    assert code == 0 and out.splitlines()[1].split(",")[1] == "k"
+
+
+def test_report_notes_embeddings_that_do_not_cover_the_run(tmp_path, capsys):
+    short = tmp_path / "emb"
+    for rel in ["ref.emb", "src.emb"] + [f"checkpoints/{c}/hyp.emb"
+                                         for c in ("000100", "000200", "000300")]:
+        (short / rel).parent.mkdir(parents=True, exist_ok=True)
+        lines = (DATA_DIR / "emb3" / rel).read_text(encoding="utf-8").splitlines()
+        write(short / rel, f"5 {lines[0].split()[1]}\n" + "".join(l + "\n" for l in lines[1:6]))
+    code, out, err = run_cli(
+        capsys, "report", str(DATA_DIR / "run3"), "--embeddings", str(short),
+        "--metrics", "bleu,rmss-vs-ref", "--k", "2",
+    )
+    assert code == 0
+    note = "rmss-vs-ref: skipped (ref.emb holds 5 vectors for 12 sentences)"
+    assert err == note + "\n"
+    assert json.loads(out)["series"] == ["bleu"]
+    # one short checkpoint file is enough
+    write(short / "ref.emb", (DATA_DIR / "emb3" / "ref.emb").read_text(encoding="utf-8"))
+    code, out, err = run_cli(
+        capsys, "report", str(DATA_DIR / "run3"), "--embeddings", str(short),
+        "--metrics", "rmss-vs-ref", "--k", "2",
+    )
+    assert (code, err) == (0, "rmss-vs-ref: skipped (checkpoints/000100/hyp.emb holds 5 vectors"
+                               " for 12 sentences)\n")
+
+
+def test_lrp_summary_equals_report_relevance_cells(capsys):
+    model = ["--model", str(DATA_DIR / "fixture.wts"), "--vocab", str(DATA_DIR / "vocab.txt")]
+    run = load_run(DATA_DIR / "run3")
+    inputs = ReportInputs(model=load_model(DATA_DIR / "fixture.wts"),
+                          vocab=load_vocab(DATA_DIR / "vocab.txt"))
+    series, notes = collect(run, RELEVANCE_METRICS, inputs)
+    assert notes == []
+    src = str(DATA_DIR / "run3" / "src.txt")
+    for row, ckpt in enumerate(run.checkpoints):
+        hyp = DATA_DIR / "run3" / "checkpoints" / ckpt.checkpoint_id / "hyp.txt"
+        code, out, _ = run_cli(capsys, "lrp", *model, src, str(hyp))
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        cells = {s.metric_name: s.points[row] for s in series}
+        assert summary["avg_source_contribution"] == cells["avg-src-contribution"].value
+        assert summary["source_entropy"] == cells["src-entropy"].value
+        assert summary["target_entropy"] == cells["tgt-entropy"].value
+        assert {p.skip_count for p in cells.values()} == {summary["skipped_sentences"]}

@@ -67,7 +67,7 @@ def test_read_lines_breaks_only_at_lf(tmp_path):
 
 # loader, fixture, and a view of the result that compares with ==
 LOADERS = {
-    "corpus": (load_corpus, "run3/ref.txt", lambda c: c.sentences),
+    "corpus": (load_corpus, "run3/ref.txt", lambda c: c),
     "embeddings": (load_embeddings, "emb3/ref.emb", lambda e: e.vectors.tolist()),
     "model": (load_model, "fixture.wts", lambda m: {k: v.tolist() for k, v in m.weights.items()}),
     "vocab": (load_vocab, "vocab.txt", lambda v: v.tokens),
@@ -100,10 +100,10 @@ def test_roundtrip_idempotent(tmp_path):
     c = make_corpus(["a b c", "", "  padded   tokens  ", "x"])
     p = tmp_path / "c.txt"
     save_corpus(c, p)
-    c2 = load_corpus(p, name=c.name)
+    c2 = load_corpus(p)
     save_corpus(c2, tmp_path / "c2.txt")
-    c3 = load_corpus(tmp_path / "c2.txt", name=c.name)
-    assert c2.sentences == c3.sentences
+    c3 = load_corpus(tmp_path / "c2.txt")
+    assert c2 == c3
     assert [s.tokens for s in c2] == [s.tokens for s in c]
 
 

@@ -172,9 +172,12 @@ def test_stats_single_source_token_entropy_zero():
     assert stats.source_entropy == pytest.approx(0.0, abs=1e-12)
 
 
-def test_stats_empty_rejected():
-    with pytest.raises(DataError):
-        contribution_stats([])
+def test_stats_of_no_records_are_undefined():
+    stats = contribution_stats([])
+    assert (stats.avg_source_contribution, stats.source_entropy, stats.target_entropy) == (
+        None, None, None
+    )
+    assert (stats.steps, stats.target_steps) == (0, 0)
 
 
 def test_stats_hand_mean():

@@ -18,12 +18,12 @@ IDENTITY_LINES = ["a b c", "a d e", "b d f", "c e f"]
 
 
 def identity_run():
-    ref = make_corpus(IDENTITY_LINES, "ref")
-    src = make_corpus(["k l", "k m", "l m", "m k"], "src")
+    ref = make_corpus(IDENTITY_LINES)
+    src = make_corpus(["k l", "k m", "l m", "m k"])
     return AnalysisRun(
         source=src,
         reference=ref,
-        checkpoints=(CheckpointRun("c1", make_corpus(IDENTITY_LINES, "hyp@c1")),),
+        checkpoints=(CheckpointRun("c1", make_corpus(IDENTITY_LINES)),),
     )
 
 
@@ -202,9 +202,9 @@ def test_emit_empty_rejected(tmp_path):
 
 def test_lrp_series_skips_empty_sentences():
     _, inputs = fixture_inputs()
-    ref = make_corpus(["ra re", ""], "ref")
-    src = make_corpus(["ka ke", "ko"], "src")
-    hyp = make_corpus(["ra re", ""], "hyp@c1")
+    ref = make_corpus(["ra re", ""])
+    src = make_corpus(["ka ke", "ko"])
+    hyp = make_corpus(["ra re", ""])
     run = AnalysisRun(source=src, reference=ref, checkpoints=(CheckpointRun("c1", hyp),))
     series, notes = collect(run, ["avg-src-contribution"], inputs)
     assert notes == []

@@ -14,24 +14,21 @@ REF = make_corpus(
         "the cat sat on the mat today",
         "dogs bark at night in the yard",
         "rain falls on the green hills again",
-    ],
-    "ref",
+    ]
 )
 CLEAN = make_corpus(
     [
         "the cat sat on the mat now",
         "dogs bark at night in a yard",
         "rain falls on the green hills often",
-    ],
-    "clean",
+    ]
 )
 WORSE = make_corpus(
     [
         "the cat sat on the rug today",
         "dogs howl at night in the yard",
         "rain drops on the green hills again",
-    ],
-    "worse",
+    ]
 )
 
 
@@ -55,7 +52,7 @@ def test_robustness_clamped_when_perturbed_scores_higher():
 
 
 def test_robustness_zero_clean_bleu_rejected():
-    disjoint = make_corpus(["x y z", "q w e", "r t y"], "disjoint")
+    disjoint = make_corpus(["x y z", "q w e", "r t y"])
     with pytest.raises(DataError):
         robustness_report("c1", "k", disjoint, CLEAN, REF, corpus_bleu(disjoint, REF))
 
@@ -71,8 +68,8 @@ def test_consistency_symmetric_exact():
 
 
 def test_consistency_disjoint_vocab():
-    a = make_corpus(["aa bb cc"], "a")
-    b = make_corpus(["dd ee ff"], "b")
+    a = make_corpus(["aa bb cc"])
+    b = make_corpus(["dd ee ff"])
     assert consistency(a, b) == 0.0
 
 
@@ -85,7 +82,7 @@ def test_harmonic_mean_formula():
 
 
 def _run(ckpts, ref=REF):
-    src = make_corpus(["s"] * len(ref), "src")
+    src = make_corpus(["s"] * len(ref))
     return AnalysisRun(
         source=src,
         reference=ref,
@@ -124,9 +121,7 @@ def test_suite_mismatched_checkpoints():
 
 def test_suite_one_word_deleted_matches_components():
     # perturbed output = clean output with one word dropped per sentence
-    dropped = make_corpus(
-        [" ".join(s.tokens[:2] + s.tokens[3:]) for s in CLEAN], "dropped"
-    )
+    dropped = make_corpus([" ".join(s.tokens[:2] + s.tokens[3:]) for s in CLEAN])
     clean_run = _run({"c1": CLEAN})
     pert_run = _run({"c1": dropped})
     rep = robustness_suite(clean_run, {"deletion": pert_run})[0]
@@ -146,14 +141,14 @@ def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
         return corpus_bleu(hyp, ref)
 
     monkeypatch.setattr(robustness, "corpus_bleu", counting_bleu)
-    other = make_corpus([s.raw for s in WORSE], "other")
-    other_perturbed = make_corpus([s.raw for s in REF], "other perturbed")
+    other = make_corpus([s.raw for s in WORSE])
+    other_perturbed = make_corpus([s.raw for s in REF])
     run = _run({"c1": CLEAN, "c2": other})
     kinds = {kind: _run({"c1": WORSE, "c2": other_perturbed}) for kind in ("a", "b", "c")}
     reports = robustness_suite(run, kinds)
     assert len(reports) == 6
-    clean_calls = [h.name for h, r in calls if (h is CLEAN or h is other) and r is REF]
-    assert clean_calls == ["clean", "other"]
+    clean_calls = [h for h, r in calls if (h is CLEAN or h is other) and r is REF]
+    assert len(clean_calls) == 2 and clean_calls[0] is CLEAN and clean_calls[1] is other
     # besides, one perturbed BLEU and two consistency directions per report
     assert len(calls) == 2 + 3 * len(reports)
     monkeypatch.undo()

@@ -196,10 +196,10 @@ def test_ter_self_zero_with_shifts():
 
 
 def _tiny_run(hyps_by_ckpt, src_lines, ref_lines):
-    src = make_corpus(src_lines, "src")
-    ref = make_corpus(ref_lines, "ref")
+    src = make_corpus(src_lines)
+    ref = make_corpus(ref_lines)
     ckpts = tuple(
-        CheckpointRun(cid, make_corpus(lines, f"hyp@{cid}"))
+        CheckpointRun(cid, make_corpus(lines))
         for cid, lines in sorted(hyps_by_ckpt.items())
     )
     return AnalysisRun(source=src, reference=ref, checkpoints=ckpts)
