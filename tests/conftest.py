@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 from mtlens.corpus import Sentence
+from mtlens.errors import DataError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -25,6 +26,14 @@ def make_corpus(lines):
 
 def make_sentence(text):
     return Sentence.from_line(text)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or its DataError message, for comparing with an oracle."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
 
 
 class ScriptedRng:

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from mtlens.cli import main as cli_main
-from mtlens.corpus import load_corpus, write_text
+from mtlens.corpus import Sentence, load_corpus, write_text
+from mtlens.perturb import PerturbationKind, PerturbationSpec, perturb_corpus
 from mtlens.rng import SplitMix64
 from mtlens.semsim import embedding_set, save_embeddings
 from mtlens.transformer import build_vocab, init_model, load_model, save_model, save_vocab
@@ -100,6 +101,11 @@ SRC = RUN + "/src.txt"
 BLANK = "{DATA}/blank"
 # one checkpoint whose id holds a comma, so CSV cells must be quoted
 COMMA = "{DATA}/comma"
+# run3 with every hypothesis misspelled or re-cased, as if decoded from a perturbed source
+MISSPELLED = "{DATA}/misspelled"
+CASED = "{DATA}/cased"
+# run3's first five sentences: a perturbed run too short to pair with run3
+SHORT = "{DATA}/short"
 MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
 SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
 
@@ -168,6 +174,12 @@ GOLDEN_CLI = (
           "--svg", "{OUT}/same.txt", "--out", "{OUT}/same.txt"], False),
         (["rmss", "--k", "2", "{DATA}/emb3/ref.emb", "{DATA}/emb3/checkpoints/000100/hyp.emb",
           "--per-sentence", "{OUT}/same.json", "--out", "{OUT}/./same.json"], True),
+        (["robust", "--clean", RUN, "--perturbed", "misspelling=" + MISSPELLED,
+          "--perturbed", "case=" + CASED], False),
+        (["bleu", CASED + "/checkpoints/000100/hyp.txt", REF], False),
+        (["bleu", CASED + "/checkpoints/000100/hyp.txt", REF, "--lc"], False),
+        (["robust", "--clean", RUN, "--perturbed", "case=" + CASED,
+          "--perturbed", "short=" + SHORT], False),
     ]
 )
 
@@ -238,6 +250,21 @@ def main():
     write_lines(comma / "src.txt", src_lines[:2])
     write_lines(comma / "ref.txt", ref_lines[:2])
     write_lines(comma / "checkpoints" / "a,b" / "hyp.txt", ref_lines[:2])
+
+    for name, keep, kind in (
+        ("misspelled", len(src_lines), PerturbationKind.MISSPELLING),
+        ("cased", len(src_lines), PerturbationKind.CASE_CHANGING),
+        ("short", 5, None),
+    ):
+        pert = DATA / name
+        write_lines(pert / "src.txt", src_lines[:keep])
+        write_lines(pert / "ref.txt", ref_lines[:keep])
+        for ckpt_id, lines in ckpts.items():
+            hyp = tuple(Sentence.from_line(line) for line in lines[:keep])
+            if kind is not None:
+                spec = PerturbationSpec(kind, probability=0.5, seed=label_seed(f"{name}@{ckpt_id}"))
+                hyp = perturb_corpus(hyp, spec)
+            write_lines(pert / "checkpoints" / ckpt_id / "hyp.txt", [sent.raw for sent in hyp])
 
     emb = DATA / "emb3"
     (emb / "checkpoints").mkdir(parents=True, exist_ok=True)

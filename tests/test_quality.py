@@ -1,12 +1,19 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bleu_oracle
+from mtlens import quality
+from mtlens.corpus import Sentence
 from mtlens.errors import DataError
 from mtlens.quality import corpus_bleu, sentence_bleu
 from mtlens.rng import SplitMix64
 
-from conftest import make_corpus, make_sentence
+from conftest import make_corpus, make_sentence, outcome
 
 
 def oracle_corpus_bleu(hyp_lines, ref_lines):
@@ -159,3 +166,57 @@ def test_sentence_unigram_not_smoothed():
 def test_sentence_empty_reference():
     with pytest.raises(DataError):
         sentence_bleu(make_sentence("a"), make_sentence(""))
+
+
+# -- the block counts against the Counter oracle --------------------------------
+
+# cased pairs whose lowercase forms meet: İ -> i + U+0307, ẞ -> ß, Σ -> σ
+WORDS = ("a", "b", "A", "İ", "i\u0307", "ẞ", "ß", "Σ", "σ", "ς")
+
+
+@st.composite
+def corpus_pairs(draw):
+    """Two aligned corpora of 1-6 sentences of 0-9 tokens over 2-4 words.
+
+    So few words make repeated n-grams and ties between the two sides'
+    counts common; empty and sub-4-token sentences leave orders empty.
+    """
+    vocab = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    sentences = st.lists(
+        st.lists(st.sampled_from(vocab), max_size=9).map(Sentence.from_tokens),
+        min_size=n, max_size=n,
+    )
+    return tuple(draw(sentences)), tuple(draw(sentences))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=corpus_pairs(), lowercase=st.booleans())
+def test_block_counts_match_counter_oracle(case, lowercase):
+    hyp, ref = case
+    want = outcome(bleu_oracle.corpus_bleu, hyp, ref, lowercase)
+    want_sentences = [outcome(bleu_oracle.sentence_bleu, h, r) for h, r in zip(hyp, ref)]
+    # one-token blocks, 7-token blocks that some sentence pairs overflow, one block
+    for block in (1, 7, 1 << 20):
+        with mock.patch.object(quality, "BLOCK_TOKENS", block):
+            assert outcome(corpus_bleu, hyp, ref, lowercase) == want
+            assert [outcome(sentence_bleu, h, r) for h, r in zip(hyp, ref)] == want_sentences
+
+
+def test_corpus_bleu_memory_is_bounded_by_the_block():
+    rng = SplitMix64(3)
+    hyp, ref = (
+        tuple(
+            Sentence.from_tokens("w%d" % rng.randrange(500) for _ in range(12))
+            for _ in range(20_000)
+        )
+        for _ in "hr"
+    )
+    tracemalloc.start()
+    try:
+        corpus_bleu(hyp, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # counting the 480k tokens in one block would take about 70 MB
+    assert peak < 8 * 2**20

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtlens.corpus import AnalysisRun, CheckpointRun
+import bleu_oracle
+import robustness_oracle
+from mtlens import quality
+from mtlens.corpus import AnalysisRun, CheckpointRun, Sentence
 from mtlens.errors import DataError
 from mtlens.quality import corpus_bleu
-from mtlens import robustness
 from mtlens.robustness import consistency, robustness_report, robustness_suite
 
-from conftest import make_corpus
+from conftest import make_corpus, outcome
 
 
 REF = make_corpus(
@@ -134,23 +138,25 @@ def test_suite_one_word_deleted_matches_components():
 
 
 def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
-    calls = []
+    interned = []
+    intern = quality._intern
 
-    def counting_bleu(hyp, ref):
-        calls.append((hyp, ref))
-        return corpus_bleu(hyp, ref)
+    def counting_intern(tokens, lowercase):
+        interned.append(len(tokens))
+        return intern(tokens, lowercase)
 
-    monkeypatch.setattr(robustness, "corpus_bleu", counting_bleu)
+    monkeypatch.setattr(quality, "_intern", counting_intern)
     other = make_corpus([s.raw for s in WORSE])
     other_perturbed = make_corpus([s.raw for s in REF])
     run = _run({"c1": CLEAN, "c2": other})
     kinds = {kind: _run({"c1": WORSE, "c2": other_perturbed}) for kind in ("a", "b", "c")}
     reports = robustness_suite(run, kinds)
     assert len(reports) == 6
-    clean_calls = [h for h, r in calls if (h is CLEAN or h is other) and r is REF]
-    assert len(clean_calls) == 2 and clean_calls[0] is CLEAN and clean_calls[1] is other
-    # besides, one perturbed BLEU and two consistency directions per report
-    assert len(calls) == 2 + 3 * len(reports)
+    # each distinct corpus read is counted once, however many reports use it:
+    # REF, CLEAN and WORSE (other and other_perturbed repeat WORSE and REF)
+    read = {REF, CLEAN, other, WORSE, other_perturbed}
+    assert len(read) == 3
+    assert sum(interned) == sum(len(s) for corpus in read for s in corpus)
     monkeypatch.undo()
     want = [
         robustness_report(
@@ -160,3 +166,80 @@ def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
         for i, (cid, ckpt) in enumerate((("c1", CLEAN), ("c2", other)))
     ]
     assert reports == want
+
+
+def test_suite_names_the_run_of_a_short_perturbed_corpus():
+    clean_run = _run({"c1": CLEAN})
+    short = _run({"c1": CLEAN[:2]}, ref=REF[:2])
+    with pytest.raises(DataError) as err:
+        robustness_suite(clean_run, {"x": clean_run, "y": short})
+    assert str(err.value) == (
+        "perturbation 'y': checkpoint c1: corpus length mismatch: 2 hypotheses vs 3 references"
+    )
+
+
+def test_suite_raises_zero_clean_bleu_before_a_later_bad_run():
+    # scored in turn, kind x's zero clean BLEU at c1 comes before kind y's short corpus
+    disjoint = make_corpus(["x y z", "q w e", "r t y"])
+    clean_run = _run({"c1": disjoint})
+    short = _run({"c1": CLEAN[:2]}, ref=REF[:2])
+    with pytest.raises(DataError, match="clean BLEU is zero"):
+        robustness_suite(clean_run, {"x": clean_run, "y": short})
+
+
+# -- the one-count suite against the one-call-per-score oracle ------------------
+
+
+@st.composite
+def suites(draw):
+    """A clean run and 1-3 perturbed runs over a pool of 1-5 small corpora.
+
+    Pool corpora repeat across checkpoints and kinds, equal in value or
+    the same object, and keep or replace each reference sentence. The
+    reference may have no tokens, a pool corpus may be one sentence
+    short, and checkpoint ids may fail to pair, so each error the suite
+    raises comes up, alone or behind another.
+    """
+    n = draw(st.integers(1, 4))
+    lines = st.sampled_from(("a b a c", "b c", "a", "c a b c a", ""))
+    ref = tuple(Sentence.from_line(line) for line in draw(st.lists(lines, min_size=n, max_size=n)))
+    words = st.sampled_from(draw(st.sampled_from(("ab", "abc", "xy"))))
+    sentence = st.lists(words, max_size=6).map(Sentence.from_tokens)
+    kept = st.one_of(st.just(None), sentence)  # None keeps the reference sentence
+    pool = []
+    for size in draw(st.lists(st.sampled_from((n,) * 5 + (n - 1,)), min_size=1, max_size=5)):
+        picks = draw(st.lists(kept, min_size=size, max_size=size))
+        pool.append(tuple(Sentence.from_line(r.raw) if p is None else p for p, r in zip(picks, ref)))
+    ids = draw(st.lists(st.sampled_from(("c1", "c2", "c3")), min_size=1, max_size=3, unique=True))
+
+    def run(ckpt_ids):
+        return _run({cid: draw(st.sampled_from(pool)) for cid in ckpt_ids}, ref=ref)
+
+    unpaired = st.lists(st.sampled_from(("c1", "c2")), min_size=1, max_size=2, unique=True)
+    kinds = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    perturbed = {
+        kind: run(draw(unpaired) if draw(st.integers(0, 5)) == 0 else ids) for kind in kinds
+    }
+    return run(ids), perturbed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=suites())
+def test_suite_matches_oracle(case):
+    clean, perturbed = case
+    assert outcome(robustness_suite, clean, perturbed) == outcome(
+        robustness_oracle.robustness_suite, clean, perturbed
+    )
+    ref = clean.reference
+    for ckpt in clean.checkpoints:
+        for pert in perturbed.values():
+            for other in pert.checkpoints:
+                a, b = ckpt.hypotheses, other.hypotheses
+                assert outcome(consistency, a, b) == outcome(robustness_oracle.consistency, a, b)
+                tq_clean = outcome(bleu_oracle.corpus_bleu, a, ref)
+                if isinstance(tq_clean, str):
+                    continue
+                args = (ckpt.checkpoint_id, "k", a, b, ref, tq_clean)
+                assert outcome(robustness_report, *args) == outcome(
+                    robustness_oracle.robustness_report, *args
+                )
