@@ -27,9 +27,17 @@ index order, which is the order the dict loops add them in; each
 row's log term is taken with `math.log` (NumPy's `log` may differ in
 the last bit); and the log terms are added with a sequential `+=` in
 row order, since `sum` compensates its rounding on Python 3.12 and
-later. Viterbi is an argmax over the sentence's block of table
-probabilities, which takes the first maximum as a strict `>` scan
-does.
+later.
+
+Viterbi needs no lookups for the training bitext: after the last
+iteration, t of each link is its final probability, and each row
+[NULL, o_1..o_m] picks its link in one segmented argmax over all the
+rows (`np.maximum.reduceat`), so `train_model1` returns the alignment
+of every training sentence. The tie rule is a strict `>` scan's: the
+first maximum among the real positions, NULL only when strictly more
+likely. `viterbi_align` applies the same routine to one sentence
+pair's block of table probabilities, for pairs outside the training
+bitext.
 
 Alignments serialize to Pharaoh text: line k holds space-separated
 "i-j" pairs for sentence k, an empty line meaning no links.
@@ -63,6 +71,8 @@ class TranslationTable:
     hyp_ids and other_ids map each side's words to ids (other id 0 is
     NULL); pair_keys holds other_id * len(hyp_ids) + hyp_id for every
     co-occurring pair, sorted, and probs[k] is t for pair_keys[k].
+    alignments holds the Viterbi alignment of every sentence pair of
+    the training bitext, empty for a pair with no tokens on one side.
     """
 
     hyp_ids: dict
@@ -70,6 +80,7 @@ class TranslationTable:
     pair_keys: np.ndarray
     probs: np.ndarray
     log_likelihood_history: tuple = ()
+    alignments: tuple = ()
 
     def prob_block(self, hyp_words, other_words) -> np.ndarray:
         """t for every (hyp word, other word) pair, one row per hyp word.
@@ -88,8 +99,8 @@ class TranslationTable:
         return float(self.prob_block((hyp_word,), (other_word,))[0, 0])
 
 
-def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list:
-    """The (hyp tokens, other tokens) pairs EM trains on: those with tokens on both sides.
+def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list[int]:
+    """Indexes of the sentence pairs EM trains on: those with tokens on both sides.
 
     Raises on a length mismatch or iterations < 1 whatever the pairs hold.
     """
@@ -99,52 +110,88 @@ def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list:
         )
     if iterations < 1:
         raise DataError("need at least one EM iteration")
-    return [(h.tokens, o.tokens) for h, o in zip(hyp, other) if h.tokens and o.tokens]
+    return [k for k, (h, o) in enumerate(zip(hyp, other)) if h.tokens and o.tokens]
+
+
+def _viterbi_rows(p: np.ndarray, row_len: np.ndarray) -> list[int]:
+    """The Viterbi link of every row of link probabilities laid end to end in p.
+
+    Row r holds row_len[r] >= 2 probabilities, [NULL, o_1..o_m].
+    Returns, per row, the 0-based real position it links to: the first
+    real position with the row's largest probability. A row links to
+    nothing (-1) when that probability is 0 or NULL's is strictly
+    larger.
+    """
+    start = np.cumsum(row_len) - row_len
+    is_real = np.ones(len(p), dtype=bool)
+    is_real[start] = False
+    real_p = p[is_real]
+    real_start = start - np.arange(len(start))
+    best_p = np.maximum.reduceat(real_p, real_start)
+    not_best = real_p != np.repeat(best_p, row_len - 1)
+    first = np.arange(len(real_p))
+    first[not_best] = len(real_p)
+    first = np.minimum.reduceat(first, real_start)
+    linked = (best_p > 0.0) & (p[start] <= best_p)
+    return np.where(linked, first - real_start, -1).tolist()
+
+
+def _alignment(best: list[int]) -> Alignment:
+    """The links (i, best[i]) of one sentence's rows, leaving out -1."""
+    return frozenset((i, j) for i, j in enumerate(best) if j >= 0)
 
 
 def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> TranslationTable:
-    """Standard Model 1 EM over the (hyp, other) bitext.
+    """Standard Model 1 EM over the (hyp, other) bitext, and its Viterbi alignments.
 
     Initialization is uniform over observed co-occurring pairs; a NULL
     token is prepended to every other-side sentence. The per-iteration
     data log-likelihood (under the parameters entering the iteration)
-    is recorded on the returned table.
+    is recorded on the returned table, and so is the Viterbi alignment
+    of every sentence pair under the final parameters.
     """
-    pairs = trainable_pairs(hyp, other, iterations)
-    if not pairs:
+    kept = trainable_pairs(hyp, other, iterations)
+    if not kept:
         raise DataError("empty bitext: no sentence pair has tokens on both sides")
 
     hyp_ids: dict = {}
     other_ids: dict = {NULL: 0}
-    link_h, link_o, row_len = [], [], []
-    for h_toks, o_toks in pairs:
-        h = np.array([hyp_ids.setdefault(w, len(hyp_ids)) for w in h_toks])
-        o = np.array([0] + [other_ids.setdefault(w, len(other_ids)) for w in o_toks])
-        link_h.append(np.repeat(h, len(o)))
+    row_h, link_o, hyp_len, other_len = [], [], [], []
+    for k in kept:
+        h = [hyp_ids.setdefault(w, len(hyp_ids)) for w in hyp[k].tokens]
+        o = np.array([0] + [other_ids.setdefault(w, len(other_ids)) for w in other[k].tokens])
+        row_h += h
         link_o.append(np.tile(o, len(h)))
-        row_len.append(np.full(len(h), len(o)))
+        hyp_len.append(len(h))
+        other_len.append(len(o))
     link_o = np.concatenate(link_o)
-    row_len = np.concatenate(row_len)
+    row_len = np.repeat(other_len, hyp_len)
+    keys = link_o * len(hyp_ids) + np.repeat(row_h, row_len)
+    pair_keys, pair = np.unique(keys, return_inverse=True)
+    del keys, row_h
     row = np.repeat(np.arange(len(row_len)), row_len)
-    pair_keys, pair = np.unique(
-        link_o * len(hyp_ids) + np.concatenate(link_h), return_inverse=True
-    )
     pair_o = pair_keys // len(hyp_ids)
 
     # uniform init over co-occurring pairs
     t = 1.0 / np.bincount(pair_o)[pair_o]
     history = []
     for _ in range(iterations):
-        p = t[pair]
-        denom = np.bincount(row, weights=p)
+        c = t[pair]  # each link's t, then, over its row's sum, its expected count
+        denom = np.bincount(row, weights=c)
         log_like = 0.0
         for mean in np.maximum(denom / row_len, PROB_FLOOR).tolist():
             log_like += math.log(mean)
         history.append(log_like)
-        c = p / np.maximum(denom, PROB_FLOOR)[row]
-        counts = np.bincount(pair, weights=c, minlength=len(pair_keys))
-        totals = np.bincount(link_o, weights=c)
-        t = counts / np.maximum(totals, PROB_FLOOR)[pair_o]
+        c /= np.repeat(np.maximum(denom, PROB_FLOOR), row_len)
+        t = np.bincount(pair, weights=c, minlength=len(pair_keys))
+        t /= np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR)[pair_o]
+    del c, link_o, row
+
+    best = _viterbi_rows(t[pair], row_len)
+    alignments = [frozenset()] * len(hyp)
+    ends = np.cumsum(hyp_len).tolist()  # rows run sentence by sentence
+    for k, begin, end in zip(kept, [0] + ends, ends):
+        alignments[k] = _alignment(best[begin:end])
 
     return TranslationTable(
         hyp_ids=hyp_ids,
@@ -152,6 +199,7 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
         pair_keys=pair_keys,
         probs=t,
         log_likelihood_history=tuple(history),
+        alignments=tuple(alignments),
     )
 
 
@@ -161,23 +209,20 @@ def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Al
     Ties between real positions break toward the smallest index; NULL
     wins only when strictly more likely than every real position.
     Tokens whose best candidate has zero probability stay unlinked.
+    The training bitext's alignments are already on the table; this is
+    for other sentence pairs.
     """
     if not hyp.tokens or not other.tokens:
         return frozenset()
     block = table.prob_block(hyp.tokens, (NULL,) + other.tokens)
-    null_p, real = block[:, 0], block[:, 1:]
-    best_j = real.argmax(axis=1)  # the first maximum
-    best_p = real.max(axis=1)
-    linked = np.flatnonzero((best_p > 0.0) & (null_p <= best_p))
-    return frozenset(zip(linked.tolist(), best_j[linked].tolist()))
+    return _alignment(_viterbi_rows(block.ravel(), np.full(len(block), block.shape[1])))
 
 
 def align_corpora(
     hyp: Corpus, other: Corpus, iterations: int = 10
 ) -> list[Alignment]:
-    """Train on the pair and Viterbi-align every sentence."""
-    table = train_model1(hyp, other, iterations=iterations)
-    return [viterbi_align(table, h, o) for h, o in zip(hyp, other)]
+    """Train on the pair and return the Viterbi alignment of every sentence."""
+    return list(train_model1(hyp, other, iterations=iterations).alignments)
 
 
 def format_pharaoh(alignments) -> str:

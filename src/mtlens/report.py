@@ -14,7 +14,12 @@ from xml.sax.saxutils import escape
 from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
 from .lrp import contribution_stats, contributions
-from .quality import corpus_bleu
+from .quality import (  # noqa: F401 (benchmarks/spans.py wraps corpus_bleu here)
+    bleu_from_matches,
+    check_corpora,
+    clipped_matches,
+    corpus_bleu,
+)
 from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import WORDORDER_METRICS, corpus_wordorder
@@ -43,15 +48,28 @@ class ReportInputs:
 
 
 def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
-    points = []
-    for ckpt in run.checkpoints:
+    """corpus_bleu of each checkpoint, with the reference counted once for all of them."""
+    ref = run.reference
+
+    def checked(ckpt) -> bool:
         try:
-            score = corpus_bleu(
-                ckpt.hypotheses, run.reference, lowercase=inputs.lowercase
-            ).score
-            points.append(SeriesPoint(ckpt.checkpoint_id, score, 0))
+            check_corpora(ckpt.hypotheses, ref)
         except DataError:
-            points.append(SeriesPoint(ckpt.checkpoint_id, None, len(run.reference)))
+            return False
+        return True
+
+    defined = [checked(ckpt) for ckpt in run.checkpoints]
+    hyps = [c.hypotheses for c, ok in zip(run.checkpoints, defined) if ok]
+    matched = iter(
+        clipped_matches((ref, *hyps), [(k, 0) for k in range(1, len(hyps) + 1)], inputs.lowercase)
+    )
+    points = []
+    for ckpt, ok in zip(run.checkpoints, defined):
+        if ok:
+            score = bleu_from_matches(next(matched), ckpt.hypotheses, ref).score
+            points.append(SeriesPoint(ckpt.checkpoint_id, score, 0))
+        else:
+            points.append(SeriesPoint(ckpt.checkpoint_id, None, len(ref)))
     return MetricSeries(metric_name="bleu", points=tuple(points))
 
 

@@ -20,7 +20,8 @@ metric name of a run (`frs-vs-ref`, `ter-vs-ref`, `frs-vs-src`,
 
 from dataclasses import dataclass
 
-from .align import Alignment, train_model1, trainable_pairs, viterbi_align
+from .align import Alignment, train_model1, trainable_pairs
+from .align import viterbi_align  # noqa: F401 (benchmarks/spans.py wraps this name)
 from .corpus import AnalysisRun, Corpus, Sentence
 from .errors import DataError
 from .series import MetricSeries, SeriesPoint
@@ -189,7 +190,7 @@ def corpus_frs(hyp: Corpus, other: Corpus, iterations: int = 10) -> tuple[list, 
     if not trainable_pairs(hyp, other, iterations):
         return [], len(hyp)
     table = train_model1(hyp, other, iterations=iterations)
-    return score_defined(zip(hyp, other), lambda h, o: frs(viterbi_align(table, h, o), h, o))
+    return score_defined(zip(table.alignments, hyp, other), frs)
 
 
 def corpus_wordorder(run: AnalysisRun, metric: str, iterations: int = 10) -> MetricSeries:

@@ -99,6 +99,8 @@ REF = RUN + "/ref.txt"
 SRC = RUN + "/src.txt"
 # run3's sources and checkpoint ids, with every ref.txt and hyp.txt line blank
 BLANK = "{DATA}/blank"
+# run3's first checkpoint with every third line blank, so those pairs are untrainable
+HOLES = BLANK + "/holes.txt"
 # one checkpoint whose id holds a comma, so CSV cells must be quoted
 COMMA = "{DATA}/comma"
 # run3 with every hypothesis misspelled or re-cased, as if decoded from a perturbed source
@@ -180,6 +182,21 @@ GOLDEN_CLI = (
         (["bleu", CASED + "/checkpoints/000100/hyp.txt", REF, "--lc"], False),
         (["robust", "--clean", RUN, "--perturbed", "case=" + CASED,
           "--perturbed", "short=" + SHORT], False),
+        (["align", BLANK + "/src.txt", BLANK + "/ref.txt"], False),
+        (["frs", BLANK + "/src.txt", BLANK + "/ref.txt"], False),
+        (["frs", BLANK + "/checkpoints/000100/hyp.txt", BLANK + "/src.txt", "--per-sentence"],
+         False),
+        (["align", HOLES, BLANK + "/src.txt", "--iters", "4"], False),
+        (["align", BLANK + "/src.txt", HOLES, "--iters", "4", "--out", "{OUT}/holes.aln"], False),
+        (["frs", HOLES, BLANK + "/src.txt", "--iters", "4", "--per-sentence"], False),
+        (["frs", BLANK + "/src.txt", HOLES, "--iters", "4", "--per-sentence"], False),
+        (["align", MISSPELLED + "/checkpoints/000100/hyp.txt", MISSPELLED + "/ref.txt"], False),
+        (["align", MISSPELLED + "/checkpoints/000300/hyp.txt", MISSPELLED + "/src.txt",
+          "--iters", "7"], False),
+        (["frs", MISSPELLED + "/checkpoints/000100/hyp.txt", MISSPELLED + "/ref.txt",
+          "--per-sentence"], False),
+        (["frs", MISSPELLED + "/checkpoints/000200/hyp.txt", MISSPELLED + "/src.txt",
+          "--format", "text"], False),
     ]
 )
 
@@ -245,6 +262,8 @@ def main():
     write_lines(blank / "src.txt", src_lines)
     for rel in ["ref.txt"] + [f"checkpoints/{ckpt_id}/hyp.txt" for ckpt_id in ckpts]:
         write_lines(blank / rel, [""] * len(src_lines))
+    write_lines(blank / "holes.txt", ["" if k % 3 == 1 else line
+                                      for k, line in enumerate(ckpts["000100"])])
 
     comma = DATA / "comma"
     write_lines(comma / "src.txt", src_lines[:2])

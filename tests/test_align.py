@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,26 @@ def test_align_corpora_counts():
     assert len(alignments) == 2
 
 
+def test_train_model1_memory_per_link():
+    rng = SplitMix64(4)
+
+    def line(prefix):
+        return " ".join(f"{prefix}{rng.randrange(400)}" for _ in range(20 + rng.randrange(21)))
+
+    hyp = make_corpus([line("h") for _ in range(200)])
+    other = make_corpus([line("o") for _ in range(200)])
+    links = sum(len(h.tokens) * (len(o.tokens) + 1) for h, o in zip(hyp, other))
+    tracemalloc.start()
+    try:
+        train_model1(hyp, other, iterations=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 62 bytes per link; keeping the link-building arrays through
+    # EM, and a new array for each step of it, took about 83
+    assert peak < 75 * links
+
+
 # -- equality with the nested-dict EM in tests/model1_oracle.py ---------------
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -169,6 +191,10 @@ def assert_same_as_oracle(hyp, other, iterations, probes=()):
         assert viterbi_align(table, h_sent, o_sent) == model1_oracle.viterbi_align(
             oracle, h_sent, o_sent
         )
+    # the training pass's own links, untrainable pairs included
+    assert align_corpora(hyp, other, iterations) == [
+        model1_oracle.viterbi_align(oracle, h, o) for h, o in zip(hyp, other)
+    ]
     return table, oracle
 
 

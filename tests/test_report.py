@@ -2,6 +2,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import model1_oracle
+import wordorder_oracle
+from mtlens.align import TranslationTable, align_corpora
 from mtlens.corpus import AnalysisRun, CheckpointRun, load_run
 from mtlens.errors import DataError
 from mtlens.quality import corpus_bleu
@@ -119,6 +122,25 @@ def test_collect_matches_direct_ops():
         assert by_name["rmss-vs-ref"].points[idx].value == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["run3", "cased", "blank"])
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_bleu_series_equals_corpus_bleu_per_checkpoint(name, lowercase):
+    run = load_run(DATA_DIR / name)
+    # a checkpoint of the wrong length fails its check and scores nothing
+    short = CheckpointRun("short", run.checkpoints[0].hypotheses[:-1])
+    run = AnalysisRun(run.source, run.reference, run.checkpoints + (short,) + run.checkpoints)
+    series, notes = collect(run, ["bleu"], ReportInputs(lowercase=lowercase))
+    assert notes == []
+    want = []
+    for ckpt in run.checkpoints:
+        try:
+            score = corpus_bleu(ckpt.hypotheses, run.reference, lowercase=lowercase).score
+            want.append(SeriesPoint(ckpt.checkpoint_id, score, 0))
+        except DataError:
+            want.append(SeriesPoint(ckpt.checkpoint_id, None, len(run.reference)))
+    assert series[0].points == tuple(want)
+
+
 def test_collect_ter_trains_no_alignment(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("TER must not train IBM-1")
@@ -130,6 +152,23 @@ def test_collect_ter_trains_no_alignment(monkeypatch):
     assert notes == []
     assert [s.metric_name for s in series] == ["ter-vs-ref", "ter-vs-src"]
     assert all(p.value is not None for s in series for p in s.points)
+
+
+def test_collect_frs_looks_up_no_table_probabilities(monkeypatch):
+    run = fixture_run()
+    want_series = wordorder_oracle.corpus_wordorder(run, "reference", iterations=5)[0]
+    hyp = run.checkpoints[0].hypotheses
+    oracle = model1_oracle.train_model1(hyp, run.reference, iterations=5)
+    want_links = [model1_oracle.viterbi_align(oracle, h, o) for h, o in zip(hyp, run.reference)]
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("training alignments must come from the link arrays")
+
+    monkeypatch.setattr(TranslationTable, "prob_block", no_lookup)
+    series, notes = collect(run, ["frs-vs-ref"], ReportInputs(align_iterations=5))
+    assert notes == []
+    assert series == [want_series]
+    assert align_corpora(hyp, run.reference, iterations=5) == want_links
 
 
 def test_collect_lrp_metrics_present():
