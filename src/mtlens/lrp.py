@@ -27,7 +27,10 @@ leading batch axis; BLOCK_ELEMENTS caps the block so the batched
 arrays stay small. Decoder rows at or past a step stay exact zeros in
 that step's relevance: its seed is 0 there, every rule maps a zero row
 to a zero row, and the masked attention probabilities are exactly 0,
-so no later row passes anything to an earlier one. The results differ
+so no later row passes anything to an earlier one. So a block carries
+only the decoder rows before its last step backward: each decoder
+layer gets its caches cut to those rows (views, no copies), while
+cross-attention keeps the whole encoder memory. The results differ
 from one pass per step only by floating-point rounding.
 
 Conservation is not enforced per layer. After the backward pass each
@@ -138,6 +141,25 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
     return rel, rel_memory
 
 
+def _live_rows(caches, n):
+    """One decoder layer's sublayer caches cut to their first n rows (views).
+
+    Cross-attention keeps the encoder memory it attends to (kv_in, v)
+    whole; the layer-norm gain is per unit, not per row.
+    """
+    cut = []
+    for (name, _), cache in zip(DECODER_LAYER, caches):
+        rows = {key: value[:n] for key, value in cache.items() if key not in ("ln", "probs")}
+        ln = cache["ln"]
+        rows["ln"] = {key: value if key == "gain" else value[:n] for key, value in ln.items()}
+        if name == "self":
+            rows["probs"] = cache["probs"][:, :n, :n]
+        elif name == "cross":
+            rows.update(kv_in=cache["kv_in"], v=cache["v"], probs=cache["probs"][:, :n])
+        cut.append(rows)
+    return cut
+
+
 @dataclass(frozen=True)
 class RelevanceRecord:
     step: int  # 1-based decoding step
@@ -177,15 +199,15 @@ def lrp_backward(
 
     batch = np.arange(len(rows))
     z = cache["logits"][rows, targets]
-    rel_dec = np.zeros((len(rows),) + dec_out.shape)
+    # rows at or past last_step carry no relevance in any step of the block
+    rel_dec = np.zeros((len(rows), last_step, dec_out.shape[1]))
     rel_dec[batch, rows] = (
         dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
     )
     rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
     for i in reversed(range(model.layers)):
-        rel_dec, rel_enc = _layer_relevance(
-            model, f"dec{i}", DECODER_LAYER, cache["dec_layers"][i], rel_dec
-        )
+        caches = _live_rows(cache["dec_layers"][i], last_step)
+        rel_dec, rel_enc = _layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel_enc_total += rel_enc
 
     rel = rel_enc_total

@@ -12,12 +12,15 @@ The cosines are never held as one n x n matrix. The x-side sums come
 from row tiles of xn @ yn.T, the y-side sums from row tiles of
 yn @ xn.T, each tile max(1, TILE_ELEMENTS // n) whole rows; cos(x_i, y_i)
 is read from the diagonal of the x-side tiles. Memory beyond the two
-normalised input copies is one tile plus a few length-n vectors, so
-it no longer grows with n^2. In each row np.partition picks the k
-largest values, and only those are sorted and summed largest first:
-the order, and so the rounding, of summing a fully sorted row's first
-k values. Which BLAS kernel fills a tile still depends on its shape,
-so cosines can differ in the last bit from those of a full product.
+normalised input copies is one tile (16 MB) plus a few length-n
+vectors, so it no longer grows with n^2; at n <= 1448 one tile is the
+whole matrix, and at n = 8192 a tile is 256 rows, tall enough for the
+BLAS product to run near its full-matrix speed. In each row
+np.partition picks the k largest values, and only those are sorted and
+summed largest first: the order, and so the rounding, of summing a
+fully sorted row's first k values. Which BLAS kernel fills a tile
+still depends on its shape, so cosines can differ in the last bit
+from those of a full product.
 
 Embedding files are UTF-8 text read through corpus.read_lines: a
 "count dim" header on line 1, then one row of space-separated
@@ -35,8 +38,8 @@ from .corpus import read_array, read_lines, write_text
 from .errors import DataError
 from .wordorder import mean_or_none
 
-# cosines held at once: one row tile of xn @ yn.T or yn @ xn.T (4 MB of float64)
-TILE_ELEMENTS = 1 << 19
+# cosines held at once: one row tile of xn @ yn.T or yn @ xn.T (16 MB of float64)
+TILE_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,17 @@ the prefix's last row back through that pass alone. The propagation
 rules are copied here with their shapes of one step, so a change to the
 production rules cannot hide in the oracle. The forward pass is the
 production one: `tests/naive_transformer.py` is its own oracle.
+
+all_rows_backward is the batched backward `mtlens.lrp` shipped before
+it cut each block's decoder pass to the rows before the block's last
+step: it carries all T decoder rows through every decoder layer. It
+runs the production rules (the per-step oracle above pins those), so
+comparing it with `mtlens.lrp.lrp_backward` tests the cut alone.
 """
 
 import numpy as np
 
+from mtlens import lrp
 from mtlens.errors import DataError, NumericError
 from mtlens.lrp import RelevanceRecord
 from mtlens.transformer import BOS_ID, DECODER_LAYER, ENCODER_LAYER, forward
@@ -148,4 +155,60 @@ def contributions(model, src, tgt, vocab) -> list[RelevanceRecord]:
             records.append(lrp_backward(model, cache, top1))
         except NumericError as exc:
             raise NumericError(f"step {t}: {exc}") from exc
+    return records
+
+
+def all_rows_backward(model, cache, first_step: int, targets) -> list[RelevanceRecord]:
+    """Records for consecutive steps, every decoder row carried backward."""
+    for target in targets:
+        if not 0 <= target < model.vocab_size:
+            raise DataError(f"logit index {target} out of range")
+    dec_out = cache["dec_out"]
+    last_step = first_step + len(targets) - 1
+    if first_step < 1 or last_step > dec_out.shape[0]:
+        raise DataError(f"steps {first_step}..{last_step} out of range")
+    rows = np.arange(first_step - 1, last_step)
+
+    batch = np.arange(len(rows))
+    z = cache["logits"][rows, targets]
+    rel_dec = np.zeros((len(rows),) + dec_out.shape)
+    rel_dec[batch, rows] = (
+        dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
+    )
+    rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
+    for i in reversed(range(model.layers)):
+        rel_dec, rel_enc = lrp._layer_relevance(
+            model, f"dec{i}", DECODER_LAYER, cache["dec_layers"][i], rel_dec
+        )
+        rel_enc_total += rel_enc
+
+    rel = rel_enc_total
+    for i in reversed(range(model.layers)):
+        rel, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
+
+    records = []
+    for b, row in enumerate(rows):
+        step = int(row) + 1
+        rel_src_embed = rel[b]
+        rel_prefix = rel_dec[b, 1:step]
+        raw_source = rel_src_embed.sum(axis=1)
+        raw_target = rel_prefix.sum(axis=1)
+        clipped_source = np.clip(rel_src_embed, 0.0, None).sum(axis=1)
+        clipped_target = np.clip(rel_prefix, 0.0, None).sum(axis=1)
+        clipped = np.concatenate([clipped_source, clipped_target])
+        total = clipped.sum()
+        if total <= 0.0:
+            raise NumericError(f"step {step}: degenerate relevance: all token contributions <= 0")
+        normalized = clipped / total
+        n_src = raw_source.shape[0]
+        records.append(
+            RelevanceRecord(
+                step=step,
+                source_rel=normalized[:n_src],
+                target_rel=normalized[n_src:],
+                raw_source_rel=raw_source,
+                raw_target_rel=raw_target,
+                predicted_id=int(targets[b]),
+            )
+        )
     return records

@@ -264,3 +264,91 @@ def test_fixture_pair_matches_per_step_oracle(budget):
         golden = json.load(fh)
     src, tgt = make_sentence(golden["src"]), make_sentence(golden["tgt"])
     assert_matches_oracle(model, src, tgt, vocab, budget)
+    got, want = all_rows_records(model, src, tgt, vocab, budget)
+    # 4 x 4 tokens, 32 ffn units: budgets 1 and 200 give one-step blocks
+    assert_matches_all_rows(got, want, exact=budget >= 1000)
+
+
+# -- live decoder rows against the all-rows batched backward -----------------
+
+
+def all_rows_records(model, src, tgt, vocab, budget):
+    """Records of the live-row backward and of the all-rows oracle, same blocks."""
+    with mock.patch.object(lrp, "BLOCK_ELEMENTS", budget):
+        got = contributions(model, src, tgt, vocab)
+        with mock.patch.object(lrp, "lrp_backward", lrp_oracle.all_rows_backward):
+            want = contributions(model, src, tgt, vocab)
+    return got, want
+
+
+# Two shapes move a last bit, both where a product of one row becomes a
+# vector product (BLAS gemv, not gemm): a block holding step 1 alone, whose
+# decoder maps then see one row, and a one-token source, whose cross-attention
+# sums over the block's rows rather than all T. Everything else is bit-equal.
+LAST_BITS = 1e-11
+
+
+def assert_matches_all_rows(got, want, exact):
+    assert [(r.step, r.predicted_id) for r in got] == [(r.step, r.predicted_id) for r in want]
+    for a, b in zip(got, want):
+        for name in FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape, name
+            if exact:
+                assert np.array_equal(x, y), name
+            else:
+                assert np.all(np.abs(x - y) <= LAST_BITS), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    seed=st.integers(0, 1 << 16),
+    src=sentences,
+    tgt=sentences,
+    budget=st.sampled_from(BUDGETS),
+)
+def test_live_rows_match_all_rows_oracle(layers, heads, seed, src, tgt, budget):
+    model = toy_model(seed=seed, layers=layers, heads=heads)
+    got, want = all_rows_records(model, src, tgt, VOCAB, budget)
+    # at the production budget every toy pair is one block of all its steps
+    exact = budget == lrp.BLOCK_ELEMENTS and len(src.tokens) > 1
+    assert_matches_all_rows(got, want, exact)
+
+
+def test_decoder_backward_carries_live_rows_only():
+    # dim 16, ffn 32 and a 7-token target: 7 * 32 elements per step, so a
+    # budget of 1000 gives blocks of 4 steps: steps 1-4, then steps 5-7
+    model = toy_model(seed=21, layers=2, heads=2)
+    src, tgt = make_sentence("w1 w2"), make_sentence("w3 w4 w5 w6 w7 w8 w9")
+    calls = []
+    real = lrp._layer_relevance
+
+    def spy(model, prefix, sublayers, caches, rel):
+        if prefix.startswith("dec"):
+            self_attn, cross, ffn = caches
+            rows = rel.shape[1]
+            assert self_attn["probs"].shape[1:] == (rows, rows)
+            assert cross["probs"].shape[1:] == (rows, 2)
+            assert cross["kv_in"].shape[0] == cross["v"].shape[0] == 2  # the whole memory
+            for cache in caches:
+                assert cache["in"].shape[0] == cache["out"].shape[0] == rows
+                assert cache["ln"]["x"].shape[0] == rows
+            assert ffn["relu"].shape[0] == rows
+            calls.append((rel.shape[0], rows))
+        return real(model, prefix, sublayers, caches, rel)
+
+    with mock.patch.object(lrp, "BLOCK_ELEMENTS", 1000), mock.patch.object(
+        lrp, "_layer_relevance", spy
+    ):
+        records = contributions(model, src, tgt, VOCAB)
+    assert len(records) == 7
+    # each block's decoder rows are its last step: (block size, last step) per layer
+    assert calls == [(4, 4)] * 2 + [(3, 7)] * 2
+    target_len, block = 7, 4
+    row_steps = sum(
+        (min(start + block, target_len) - start) * min(start + block, target_len)
+        for start in range(0, target_len, block)
+    )
+    assert sum(b * rows for b, rows in calls) == model.layers * row_steps == 2 * 37

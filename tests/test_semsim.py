@@ -229,7 +229,7 @@ def test_tiles_keep_oracle_skips_mixed_sign(case):
 
 
 def test_rmss_holds_no_n_by_n_matrix():
-    n = 2048
+    n = 4096  # one default tile is 512 rows, an eighth of the matrix
     rng = np.random.default_rng(5)
     x = embedding_set(rng.standard_normal((n, 8)))
     y = embedding_set(rng.standard_normal((n, 8)))
@@ -240,6 +240,8 @@ def test_rmss_holds_no_n_by_n_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 4  # a quarter of the float64 n x n cosine matrix
+    # one tile, the two normalised input copies and a few length-n vectors
+    assert peak <= 8 * semsim.TILE_ELEMENTS + 2 * x.vectors.nbytes + 12 * 8 * n
 
 
 def test_load_single_vector(tmp_path):
