@@ -17,7 +17,7 @@ import sys
 
 from . import align as align_mod
 from . import report as report_mod
-from .corpus import load_corpus, load_run, save_corpus, write_text
+from .corpus import check_lengths, load_corpus, load_run, save_corpus, write_text
 from .errors import DataError, NumericError, UsageError
 from .lrp import contributions  # noqa: F401 (benchmarks/spans.py wraps this name)
 from .perturb import PerturbationKind, PerturbationSpec, perturb_corpus
@@ -33,8 +33,7 @@ from .wordorder import ter as ter_op
 def _load_pair(first_path, second_path):
     first = load_corpus(first_path)
     second = load_corpus(second_path)
-    if len(first) != len(second):
-        raise DataError(f"corpus length mismatch: {len(first)} vs {len(second)}")
+    check_lengths(first, second)
     return first, second
 
 
@@ -123,6 +122,8 @@ def cmd_robust(args) -> str:
         kind, eq, path = item.partition("=")
         if not eq or "/" in kind:  # a bare directory, maybe with "=" in its path
             kind, path = os.path.basename(os.path.normpath(item)), item
+        if not kind:
+            raise UsageError(f"--perturbed: empty kind in {item!r}")
         if kind in perturbed:
             raise UsageError(f"--perturbed: kind {kind!r} given more than once")
         perturbed[kind] = load_run(path)

@@ -120,6 +120,12 @@ def save_corpus(corpus: Corpus, path) -> None:
     write_text(path, "".join(f"{sent.raw}\n" for sent in corpus))
 
 
+def check_lengths(first: Corpus, second: Corpus) -> None:
+    """Raise a DataError unless the two corpora pair line for line."""
+    if len(first) != len(second):
+        raise DataError(f"corpus length mismatch: {len(first)} vs {len(second)}")
+
+
 @dataclass(frozen=True)
 class CheckpointRun:
     checkpoint_id: str

@@ -5,17 +5,20 @@ unsmoothed: any zero pooled precision gives score 0. Sentence mode
 adds one to numerator and denominator for n >= 2 so short identical
 pairs still score, leaving unigram precision untouched.
 
-Clipped matches, sum over n-grams of min(c_h, c_r), are integers and
-symmetric in the two sides, so clipped_matches() counts them for many
-(hyp, ref) pairs of one set of corpora at once. It walks the sentences
-in blocks of at most BLOCK_TOKENS tokens over all the corpora, so its
-memory does not grow with corpus length. The totals, sum over
-sentences of max(0, len - n + 1), come from the hypothesis lengths
-alone.
+corpus_bleus() is the one place corpora are counted: it scores many
+(hyp, ref) pairs at once, counting each distinct corpus (by value)
+once, and corpus_bleu() is its one-pair case. Clipped matches, sum
+over n-grams of min(c_h, c_r), are integers and symmetric in the two
+sides, so a pair and its reverse share one count. The counts walk
+the sentences in blocks of at most BLOCK_TOKENS tokens over all the
+corpora, so memory does not grow with corpus length. The totals, sum
+over sentences of max(0, len - n + 1), come from the hypothesis
+lengths alone, once per distinct corpus.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -40,14 +43,15 @@ class BleuScore:
 def _blocks(corpora):
     """(start, stop) sentence ranges of at most BLOCK_TOKENS tokens, one sentence at least."""
     start = size = 0
-    for i, sents in enumerate(zip(*corpora)):
-        tokens = sum(len(s.tokens) for s in sents)
+    for i, sents in enumerate(zip_longest(*corpora, fillvalue=())):
+        tokens = sum(map(len, sents))
         if i > start and size + tokens > BLOCK_TOKENS:
             yield start, i
             start, size = i, 0
         size += tokens
-    if start < len(corpora[0]):
-        yield start, len(corpora[0])
+    length = max(map(len, corpora))
+    if start < length:
+        yield start, length
 
 
 def _intern(tokens, lowercase: bool) -> np.ndarray:
@@ -63,10 +67,11 @@ def _block_counts(corpora, start, stop, lowercase):
 
     Keys are sentence * G + gram, with the sentence counted from start
     and gram the id of an n-gram shared by all the corpora, so the
-    keys of two corpora compare across them.
+    keys of two corpora compare across them. A corpus that ends before
+    stop reads as empty sentences past its end.
     """
     width = stop - start
-    block = [s.tokens for corpus in corpora for s in corpus[start:stop]]
+    block = [c[i].tokens if i < len(c) else () for c in corpora for i in range(start, stop)]
     tok = _intern([t for tokens in block for t in tokens], lowercase)
     row = np.repeat(np.arange(len(block)), [len(tokens) for tokens in block])
     gram = tok
@@ -87,12 +92,13 @@ def _block_counts(corpora, start, stop, lowercase):
         ]
 
 
-def clipped_matches(corpora, pairs, lowercase: bool = False) -> list[list[int]]:
+def _clipped_matches(corpora, pairs, lowercase: bool = False) -> list[list[int]]:
     """Sum of min(c_h, c_r) over n-grams, per (hyp, ref) pair and order n = 1..4.
 
-    corpora all have the same length; each pair holds two indices into
-    corpora and compares their sentences line by line. Each corpus is
-    counted once, however many pairs it is in.
+    Each pair holds the indices of two corpora of one length and
+    compares their sentences line by line; other pairs may compare
+    corpora of another length. Each corpus is counted once, however
+    many pairs it is in.
     """
     matched = np.zeros((len(pairs), MAX_ORDER), dtype=np.int64)
     if not pairs:
@@ -147,11 +153,9 @@ def check_corpora(hyp: Corpus, ref: Corpus) -> None:
         raise DataError("reference corpus has no tokens")
 
 
-def bleu_from_matches(matched, hyp: Corpus, ref: Corpus) -> BleuScore:
-    """Corpus BLEU of hyp against ref from their clipped matches per order."""
-    total = _ngram_totals(hyp)
-    hyp_len = sum(len(s) for s in hyp)
-    ref_len = sum(len(s) for s in ref)
+def _bleu_from_matches(matched, total, ref_len: int) -> BleuScore:
+    """Corpus BLEU from the clipped matches and hypothesis n-gram totals per order."""
+    hyp_len = total[0]  # every token starts one unigram
     precisions = tuple(
         matched[n] / total[n] if total[n] > 0 else 0.0 for n in range(MAX_ORDER)
     )
@@ -165,17 +169,42 @@ def bleu_from_matches(matched, hyp: Corpus, ref: Corpus) -> BleuScore:
     )
 
 
+def corpus_bleus(pairs, lowercase: bool = False) -> list[BleuScore | None]:
+    """Corpus BLEU of each (hyp, ref) pair, None where check_corpora refuses it.
+
+    One count covers all the pairs: each distinct corpus, by value, is
+    counted once, and a pair and its reverse share their clipped matches.
+    """
+    index = {}  # the distinct corpora of the pairs that pass, in order of first use
+    at = []  # per pair: the indices of its hyp and ref, or None
+    for hyp, ref in pairs:
+        try:
+            check_corpora(hyp, ref)
+        except DataError:
+            at.append(None)
+            continue
+        at.append(tuple(index.setdefault(corpus, len(index)) for corpus in (hyp, ref)))
+    corpora = list(index)
+    counted = list(dict.fromkeys(tuple(sorted(hr)) for hr in at if hr is not None))
+    matched = dict(zip(counted, _clipped_matches(corpora, counted, lowercase)))
+    totals = [_ngram_totals(corpus) for corpus in corpora]
+    return [
+        None if hr is None
+        else _bleu_from_matches(matched[tuple(sorted(hr))], totals[hr[0]], totals[hr[1]][0])
+        for hr in at
+    ]
+
+
 def corpus_bleu(hyp: Corpus, ref: Corpus, lowercase: bool = False) -> BleuScore:
     check_corpora(hyp, ref)
-    (matched,) = clipped_matches((hyp, ref), [(0, 1)], lowercase)
-    return bleu_from_matches(matched, hyp, ref)
+    return corpus_bleus([(hyp, ref)], lowercase)[0]
 
 
 def sentence_bleu(hyp: Sentence, ref: Sentence) -> BleuScore:
     """Lin-Och add-one smoothing for n >= 2; unigrams unsmoothed."""
     if len(ref) == 0:
         raise DataError("empty reference sentence")
-    (matched,) = clipped_matches(((hyp,), (ref,)), [(0, 1)])
+    (matched,) = _clipped_matches(((hyp,), (ref,)), [(0, 1)])
     total = _ngram_totals((hyp,))
     precisions = []
     for n in range(MAX_ORDER):

@@ -2,10 +2,12 @@
 
 collect() computes one series per requested metric name; metrics
 whose extra inputs (embeddings, model) are missing produce a note
-instead of a crash. CSV rows are checkpoints, columns metrics, empty
-cells marking undefined points; csv_text() and format_value() also
-build the robust table. SVG output assembles one 800x400 line chart
-per series, stacked vertically in a single file.
+instead of a crash. The BLEU series is one quality.corpus_bleus call,
+which counts the reference and each distinct checkpoint once. CSV rows
+are checkpoints, columns metrics, empty cells marking undefined
+points; csv_text() and format_value() also build the robust table.
+SVG output assembles one 800x400 line chart per series, stacked
+vertically in a single file.
 """
 
 from dataclasses import dataclass
@@ -14,12 +16,7 @@ from xml.sax.saxutils import escape
 from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
 from .lrp import contribution_stats, contributions
-from .quality import (  # noqa: F401 (benchmarks/spans.py wraps corpus_bleu here)
-    bleu_from_matches,
-    check_corpora,
-    clipped_matches,
-    corpus_bleu,
-)
+from .quality import corpus_bleu, corpus_bleus  # noqa: F401 (benchmarks/spans.py wraps corpus_bleu here)
 from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import WORDORDER_METRICS, corpus_wordorder
@@ -48,29 +45,16 @@ class ReportInputs:
 
 
 def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
-    """corpus_bleu of each checkpoint, with the reference counted once for all of them."""
+    """corpus_bleu of each checkpoint, or no value and every sentence skipped where it fails."""
     ref = run.reference
-
-    def checked(ckpt) -> bool:
-        try:
-            check_corpora(ckpt.hypotheses, ref)
-        except DataError:
-            return False
-        return True
-
-    defined = [checked(ckpt) for ckpt in run.checkpoints]
-    hyps = [c.hypotheses for c, ok in zip(run.checkpoints, defined) if ok]
-    matched = iter(
-        clipped_matches((ref, *hyps), [(k, 0) for k in range(1, len(hyps) + 1)], inputs.lowercase)
+    scores = corpus_bleus([(c.hypotheses, ref) for c in run.checkpoints], inputs.lowercase)
+    points = tuple(
+        SeriesPoint(c.checkpoint_id, None, len(ref))
+        if score is None
+        else SeriesPoint(c.checkpoint_id, score.score, 0)
+        for c, score in zip(run.checkpoints, scores)
     )
-    points = []
-    for ckpt, ok in zip(run.checkpoints, defined):
-        if ok:
-            score = bleu_from_matches(next(matched), ckpt.hypotheses, ref).score
-            points.append(SeriesPoint(ckpt.checkpoint_id, score, 0))
-        else:
-            points.append(SeriesPoint(ckpt.checkpoint_id, None, len(ref)))
-    return MetricSeries(metric_name="bleu", points=tuple(points))
+    return MetricSeries(metric_name="bleu", points=points)
 
 
 def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSeries:

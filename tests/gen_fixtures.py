@@ -197,6 +197,10 @@ GOLDEN_CLI = (
           "--per-sentence"], False),
         (["frs", MISSPELLED + "/checkpoints/000200/hyp.txt", MISSPELLED + "/src.txt",
           "--format", "text"], False),
+        (["robust", "--clean", CASED, "--perturbed", "m=" + MISSPELLED,
+          "--perturbed", "r=" + RUN, "--perturbed", "b=" + BLANK], False),
+        (["bleu", BLANK + "/checkpoints/000100/hyp.txt", REF], False),
+        (["bleu", HYP, BLANK + "/ref.txt"], False),
     ]
 )
 

@@ -505,6 +505,15 @@ def test_robust_repeated_kind_is_usage_error(tmp_path, capsys):
         assert err == f"error: --perturbed: kind {kind!r} given more than once\n"
 
 
+def test_robust_empty_kind_is_usage_error(tmp_path, capsys):
+    ref = ["a b c", "d e f"]
+    clean = _run_dir(tmp_path / "clean", ref, {"c1": ref})
+    for item in (f"={clean}", "="):
+        code, out, err = run_cli(capsys, "robust", "--clean", str(clean), "--perturbed", item)
+        assert (code, out) == (1, "")
+        assert err == f"error: --perturbed: empty kind in {item!r}\n"
+
+
 def test_undefined_headline(tmp_path, capsys):
     # every reference line is empty, so no sentence has a TER or FRS
     hyp, ref, aln = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "a.aln"

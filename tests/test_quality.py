@@ -203,6 +203,52 @@ def test_block_counts_match_counter_oracle(case, lowercase):
             assert [outcome(sentence_bleu, h, r) for h, r in zip(hyp, ref)] == want_sentences
 
 
+@st.composite
+def pair_lists(draw):
+    """1-6 (hyp, ref) pairs drawn from a pool of 1-4 corpora and their copies.
+
+    Pool corpora hold 1-5 sentences of 0-6 tokens, so some are a
+    sentence longer or shorter than others or have no tokens at all;
+    equal-valued copies of some are added. Pairs may repeat, pair a
+    corpus with itself or its copy, and come with their reverses.
+    """
+    vocab = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=4, unique=True))
+    n = draw(st.integers(2, 4))
+    sentence = st.lists(st.sampled_from(vocab), max_size=6).map(Sentence.from_tokens)
+    pool = []
+    for size in draw(st.lists(st.sampled_from((n, n, n, n - 1, n + 1)), min_size=1, max_size=4)):
+        if draw(st.integers(0, 4)) == 0:
+            pool.append((Sentence.from_tokens(()),) * size)
+        else:
+            pool.append(tuple(draw(st.lists(sentence, min_size=size, max_size=size))))
+    pool += [tuple(Sentence.from_line(s.raw) for s in c) for c in pool if draw(st.booleans())]
+    corpus = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(corpus, corpus), min_size=1, max_size=6))
+    return pairs + [(r, h) for h, r in pairs if draw(st.booleans())]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pairs=pair_lists(), lowercase=st.booleans())
+def test_corpus_bleus_matches_oracle_pair_by_pair(pairs, lowercase):
+    want = [outcome(bleu_oracle.corpus_bleu, h, r, lowercase) for h, r in pairs]
+    want = [None if isinstance(w, str) else w for w in want]
+    # one count, over each distinct corpus and each unordered pair of the pairs that pass
+    scored = [pair for pair, w in zip(pairs, want) if w is not None]
+    one_count = [(len({c for pair in scored for c in pair}), len(set(map(frozenset, scored))))]
+    count = quality._clipped_matches
+    # one-token blocks, and the default block size
+    for block in (1, quality.BLOCK_TOKENS):
+        calls = []
+
+        def counting(corpora, counted, lowercase):
+            calls.append((len(corpora), len(counted)))
+            return count(corpora, counted, lowercase)
+
+        with mock.patch.multiple(quality, BLOCK_TOKENS=block, _clipped_matches=counting):
+            assert quality.corpus_bleus(pairs, lowercase) == want
+        assert calls == one_count
+
+
 def test_corpus_bleu_memory_is_bounded_by_the_block():
     rng = SplitMix64(3)
     hyp, ref = (

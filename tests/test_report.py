@@ -4,6 +4,7 @@ import pytest
 
 import model1_oracle
 import wordorder_oracle
+from mtlens import quality
 from mtlens.align import TranslationTable, align_corpora
 from mtlens.corpus import AnalysisRun, CheckpointRun, load_run
 from mtlens.errors import DataError
@@ -139,6 +140,24 @@ def test_bleu_series_equals_corpus_bleu_per_checkpoint(name, lowercase):
         except DataError:
             want.append(SeriesPoint(ckpt.checkpoint_id, None, len(run.reference)))
     assert series[0].points == tuple(want)
+
+
+def test_bleu_series_counts_each_distinct_corpus_once(monkeypatch):
+    interned = []
+    intern = quality._intern
+
+    def counting_intern(tokens, lowercase):
+        interned.append(len(tokens))
+        return intern(tokens, lowercase)
+
+    monkeypatch.setattr(quality, "_intern", counting_intern)
+    run = fixture_run()
+    series, notes = collect(run, ["bleu"])
+    assert notes == [] and len(series[0].points) == 3
+    # checkpoint 000300 repeats the reference, so three distinct corpora are counted
+    read = {run.reference, *(c.hypotheses for c in run.checkpoints)}
+    assert len(read) == 3
+    assert sum(interned) == sum(len(s) for corpus in read for s in corpus)
 
 
 def test_collect_ter_trains_no_alignment(monkeypatch):
