@@ -5,15 +5,17 @@ unsmoothed: any zero pooled precision gives score 0. Sentence mode
 adds one to numerator and denominator for n >= 2 so short identical
 pairs still score, leaving unigram precision untouched.
 
-corpus_bleus() is the one place corpora are counted: it scores many
-(hyp, ref) pairs at once, counting each distinct corpus (by value)
-once, and corpus_bleu() is its one-pair case. Clipped matches, sum
-over n-grams of min(c_h, c_r), are integers and symmetric in the two
-sides, so a pair and its reverse share one count. The counts walk
-the sentences in blocks of at most BLOCK_TOKENS tokens over all the
-corpora, so memory does not grow with corpus length. The totals, sum
-over sentences of max(0, len - n + 1), come from the hypothesis
-lengths alone, once per distinct corpus.
+corpus_bleus() is the one place corpora are checked and counted: it
+scores many (hyp, ref) pairs at once and returns, per pair, its
+BleuScore or the DataError that refuses it; corpus_bleu() is its
+one-pair case and raises that error. Each distinct corpus (by value)
+is counted once. Clipped matches, sum over n-grams of min(c_h, c_r),
+are integers and symmetric in the two sides, so a pair and its
+reverse share one count. The counts walk the sentences in blocks of
+at most BLOCK_TOKENS tokens over all the corpora, so memory does not
+grow with corpus length. The totals, sum over sentences of
+max(0, len - n + 1), come from the hypothesis lengths alone, once
+per distinct corpus.
 """
 
 import math
@@ -143,14 +145,15 @@ def _corpus_score(matched, total, bp: float) -> float:
     return 100.0 * bp * math.exp(log_sum / len(orders))
 
 
-def check_corpora(hyp: Corpus, ref: Corpus) -> None:
-    """The corpus_bleu input checks: equal lengths, then a reference with tokens."""
+def _check_corpora(hyp: Corpus, ref: Corpus) -> DataError | None:
+    """The error that refuses a pair: unequal lengths, then a reference without tokens."""
     if len(hyp) != len(ref):
-        raise DataError(
+        return DataError(
             f"corpus length mismatch: {len(hyp)} hypotheses vs {len(ref)} references"
         )
-    if sum(len(s) for s in ref) == 0:
-        raise DataError("reference corpus has no tokens")
+    if not any(s.tokens for s in ref):
+        return DataError("reference corpus has no tokens")
+    return None
 
 
 def _bleu_from_matches(matched, total, ref_len: int) -> BleuScore:
@@ -169,35 +172,34 @@ def _bleu_from_matches(matched, total, ref_len: int) -> BleuScore:
     )
 
 
-def corpus_bleus(pairs, lowercase: bool = False) -> list[BleuScore | None]:
-    """Corpus BLEU of each (hyp, ref) pair, None where check_corpora refuses it.
+def corpus_bleus(pairs, lowercase: bool = False) -> list[BleuScore | DataError]:
+    """Corpus BLEU of each (hyp, ref) pair, or the DataError that refuses it.
 
-    One count covers all the pairs: each distinct corpus, by value, is
-    counted once, and a pair and its reverse share their clipped matches.
+    Each pair is checked once. One count covers the pairs that pass:
+    each distinct corpus, by value, is counted once, and a pair and its
+    reverse share their clipped matches.
     """
     index = {}  # the distinct corpora of the pairs that pass, in order of first use
-    at = []  # per pair: the indices of its hyp and ref, or None
+    at = []  # per pair: the indices of its hyp and ref, or its DataError
     for hyp, ref in pairs:
-        try:
-            check_corpora(hyp, ref)
-        except DataError:
-            at.append(None)
-            continue
-        at.append(tuple(index.setdefault(corpus, len(index)) for corpus in (hyp, ref)))
+        error = _check_corpora(hyp, ref)
+        at.append(error or tuple(index.setdefault(corpus, len(index)) for corpus in (hyp, ref)))
     corpora = list(index)
-    counted = list(dict.fromkeys(tuple(sorted(hr)) for hr in at if hr is not None))
+    counted = list(dict.fromkeys(tuple(sorted(hr)) for hr in at if isinstance(hr, tuple)))
     matched = dict(zip(counted, _clipped_matches(corpora, counted, lowercase)))
     totals = [_ngram_totals(corpus) for corpus in corpora]
     return [
-        None if hr is None
+        hr if isinstance(hr, DataError)
         else _bleu_from_matches(matched[tuple(sorted(hr))], totals[hr[0]], totals[hr[1]][0])
         for hr in at
     ]
 
 
 def corpus_bleu(hyp: Corpus, ref: Corpus, lowercase: bool = False) -> BleuScore:
-    check_corpora(hyp, ref)
-    return corpus_bleus([(hyp, ref)], lowercase)[0]
+    (score,) = corpus_bleus([(hyp, ref)], lowercase)
+    if isinstance(score, DataError):
+        raise score
+    return score
 
 
 def sentence_bleu(hyp: Sentence, ref: Sentence) -> BleuScore:

@@ -50,7 +50,7 @@ def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
     scores = corpus_bleus([(c.hypotheses, ref) for c in run.checkpoints], inputs.lowercase)
     points = tuple(
         SeriesPoint(c.checkpoint_id, None, len(ref))
-        if score is None
+        if isinstance(score, DataError)
         else SeriesPoint(c.checkpoint_id, score.score, 0)
         for c, score in zip(run.checkpoints, scores)
     )

@@ -5,18 +5,19 @@ ratio TQ(perturbed-input hypotheses, reference) / TQ(clean
 hypotheses, reference), clamped into [0,1]; the raw ratio is kept for
 diagnostics. Consistency is the harmonic mean of the two cross-BLEU
 directions between clean and perturbed hypotheses, reported on the
-0-100 BLEU scale. Every score comes from quality.corpus_bleus, which
-counts each distinct corpus once and serves both directions of a pair
-from one clipped-match count.
+0-100 BLEU scale, a direction that corpus_bleus refuses counting 0.
+Every score comes from quality.corpus_bleus, which counts each
+distinct corpus once, serves both directions of a pair from one
+clipped-match count and returns the DataError of a refused pair.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .corpus import AnalysisRun, Corpus, check_lengths
 from .errors import DataError
 from .quality import (  # noqa: F401 (benchmarks/spans.py wraps corpus_bleu here)
     BleuScore,
-    check_corpora,
     corpus_bleu,
     corpus_bleus,
 )
@@ -42,7 +43,7 @@ def harmonic_mean(a: float, b: float) -> float:
 
 def _consistency(across, back) -> float:
     """Harmonic mean of the two cross-BLEU scores; a refused direction scores 0."""
-    return harmonic_mean(*(0.0 if s is None else s.score for s in (across, back)))
+    return harmonic_mean(*(0.0 if isinstance(s, DataError) else s.score for s in (across, back)))
 
 
 def consistency(hyp_clean: Corpus, hyp_perturbed: Corpus) -> float:
@@ -50,9 +51,18 @@ def consistency(hyp_clean: Corpus, hyp_perturbed: Corpus) -> float:
     return _consistency(*corpus_bleus([(hyp_clean, hyp_perturbed), (hyp_perturbed, hyp_clean)]))
 
 
+def _pairs(clean, pert, ref):
+    """The four pairs of a report: clean and perturbed against ref, then each against the other."""
+    return [(clean, ref), (pert, ref), (clean, pert), (pert, clean)]
+
+
 def _report(checkpoint_id, kind, tq_clean, tq_perturbed, across, back):
-    """A report from the corpus_bleus scores of clean and perturbed hypotheses
-    against the reference, then clean against perturbed and back."""
+    """A report from the corpus_bleus scores of the four _pairs; raises
+    the clean pair's error, then the perturbed pair's, then a zero
+    clean BLEU."""
+    for refused in (tq_clean, tq_perturbed):
+        if isinstance(refused, DataError):
+            raise refused
     if tq_clean.score == 0.0:
         raise DataError(
             f"checkpoint {checkpoint_id}: robustness undefined, clean BLEU is zero"
@@ -71,22 +81,16 @@ def _report(checkpoint_id, kind, tq_clean, tq_perturbed, across, back):
 
 
 def robustness_report(
-    checkpoint_id: str,
-    kind: str,
-    hyp_clean: Corpus,
-    hyp_perturbed: Corpus,
-    ref: Corpus,
-    tq_clean: BleuScore,
+    checkpoint_id: str, kind: str, hyp_clean: Corpus, hyp_perturbed: Corpus, ref: Corpus
 ) -> RobustnessReport:
     """Robustness and consistency of one checkpoint under one perturbation.
 
-    tq_clean is corpus_bleu(hyp_clean, ref), which the caller computes
-    once per checkpoint.
+    One corpus_bleus call scores clean and perturbed hypotheses against
+    the reference and against each other. A clean or perturbed corpus
+    that corpus_bleus refuses raises its error, clean first; so does a
+    zero clean BLEU.
     """
-    check_corpora(hyp_perturbed, ref)
-    check_lengths(hyp_clean, hyp_perturbed)
-    pairs = [(hyp_perturbed, ref), (hyp_clean, hyp_perturbed), (hyp_perturbed, hyp_clean)]
-    return _report(checkpoint_id, kind, tq_clean, *corpus_bleus(pairs))
+    return _report(checkpoint_id, kind, *corpus_bleus(_pairs(hyp_clean, hyp_perturbed, ref)))
 
 
 def robustness_suite(run: AnalysisRun, perturbed_runs: dict) -> list[RobustnessReport]:
@@ -95,43 +99,33 @@ def robustness_suite(run: AnalysisRun, perturbed_runs: dict) -> list[RobustnessR
     perturbed_runs maps kind -> AnalysisRun whose checkpoints carry
     the hypotheses decoded from the perturbed test set; checkpoint ids
     must pair with the clean run's. One corpus_bleus call scores every
-    report. Errors keep the order of a walk over kinds, then
-    checkpoints, that scores each report in turn.
+    kind whose ids pair. A walk over kinds, then checkpoints, raises
+    the first error: unpaired ids, then the clean error, then the
+    perturbed error naming its kind and checkpoint, then a zero clean
+    BLEU.
     """
     ref = run.reference
-    clean_by_id = {c.checkpoint_id: c for c in run.checkpoints}
-    jobs = []  # (kind, checkpoint id, clean hypotheses, perturbed hypotheses)
-    error = None
-    try:
-        for kind in sorted(perturbed_runs):
-            pert_by_id = {c.checkpoint_id: c for c in perturbed_runs[kind].checkpoints}
-            missing = sorted(set(clean_by_id) ^ set(pert_by_id))
-            if missing:
-                raise DataError(
-                    f"perturbation {kind!r}: unpaired checkpoint ids {missing}"
-                )
-            for ckpt in run.checkpoints:
-                cid = ckpt.checkpoint_id
-                check_corpora(ckpt.hypotheses, ref)
-                hyp_perturbed = pert_by_id[cid].hypotheses
-                try:
-                    check_corpora(hyp_perturbed, ref)
-                except DataError as exc:
-                    raise DataError(f"perturbation {kind!r}: checkpoint {cid}: {exc}") from None
-                jobs.append((kind, cid, ckpt.hypotheses, hyp_perturbed))
-    except DataError as exc:
-        # the reports before the first bad input come first, and so
-        # does any zero clean BLEU among them
-        error = exc
-
-    scores = corpus_bleus([
+    clean_ids = {c.checkpoint_id for c in run.checkpoints}
+    perturbed = {  # kind -> checkpoint id -> perturbed hypotheses
+        kind: {c.checkpoint_id: c.hypotheses for c in perturbed_runs[kind].checkpoints}
+        for kind in sorted(perturbed_runs)
+    }
+    scores = iter(corpus_bleus([
         pair
-        for _, _, clean, pert in jobs
-        for pair in ((clean, ref), (pert, ref), (clean, pert), (pert, clean))
-    ])
-    reports = [
-        _report(cid, kind, *scores[4 * j : 4 * j + 4]) for j, (kind, cid, _, _) in enumerate(jobs)
-    ]
-    if error is not None:
-        raise error
+        for by_id in perturbed.values()
+        if by_id.keys() == clean_ids
+        for ckpt in run.checkpoints
+        for pair in _pairs(ckpt.hypotheses, by_id[ckpt.checkpoint_id], ref)
+    ]))
+    reports = []
+    for kind, by_id in perturbed.items():
+        missing = sorted(clean_ids ^ by_id.keys())
+        if missing:
+            raise DataError(f"perturbation {kind!r}: unpaired checkpoint ids {missing}")
+        for ckpt in run.checkpoints:
+            cid = ckpt.checkpoint_id
+            tq_clean, tq_perturbed, across, back = islice(scores, 4)
+            if isinstance(tq_perturbed, DataError):
+                tq_perturbed = DataError(f"perturbation {kind!r}: checkpoint {cid}: {tq_perturbed}")
+            reports.append(_report(cid, kind, tq_clean, tq_perturbed, across, back))
     return reports

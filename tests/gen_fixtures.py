@@ -201,6 +201,16 @@ GOLDEN_CLI = (
           "--perturbed", "r=" + RUN, "--perturbed", "b=" + BLANK], False),
         (["bleu", BLANK + "/checkpoints/000100/hyp.txt", REF], False),
         (["bleu", HYP, BLANK + "/ref.txt"], False),
+        # robust errors in walk order: the clean corpus against the
+        # reference, then a zero clean BLEU before a later kind's unpaired ids
+        (["robust", "--clean", RUN, "--perturbed", "x=" + RUN, "--ref", SHORT + "/ref.txt"],
+         False),
+        (["robust", "--clean", RUN, "--perturbed", "x=" + RUN, "--ref", BLANK + "/ref.txt"],
+         False),
+        (["robust", "--clean", RUN, "--perturbed", "a=" + RUN, "--perturbed", "b=" + COMMA],
+         False),
+        (["robust", "--clean", RUN, "--perturbed", "a=" + RUN, "--perturbed", "b=" + COMMA,
+          "--ref", RUN + "/checkpoints/000200/hyp.txt"], False),
     ]
 )
 

@@ -231,9 +231,8 @@ def pair_lists(draw):
 @given(pairs=pair_lists(), lowercase=st.booleans())
 def test_corpus_bleus_matches_oracle_pair_by_pair(pairs, lowercase):
     want = [outcome(bleu_oracle.corpus_bleu, h, r, lowercase) for h, r in pairs]
-    want = [None if isinstance(w, str) else w for w in want]
     # one count, over each distinct corpus and each unordered pair of the pairs that pass
-    scored = [pair for pair, w in zip(pairs, want) if w is not None]
+    scored = [pair for pair, w in zip(pairs, want) if not isinstance(w, str)]
     one_count = [(len({c for pair in scored for c in pair}), len(set(map(frozenset, scored))))]
     count = quality._clipped_matches
     # one-token blocks, and the default block size
@@ -245,7 +244,9 @@ def test_corpus_bleus_matches_oracle_pair_by_pair(pairs, lowercase):
             return count(corpora, counted, lowercase)
 
         with mock.patch.multiple(quality, BLOCK_TOKENS=block, _clipped_matches=counting):
-            assert quality.corpus_bleus(pairs, lowercase) == want
+            got = quality.corpus_bleus(pairs, lowercase)
+        # a refused pair returns its DataError, with the oracle's message
+        assert [f"DataError: {g}" if isinstance(g, DataError) else g for g in got] == want
         assert calls == one_count
 
 

@@ -8,6 +8,7 @@ from mtlens import quality
 from mtlens.corpus import AnalysisRun, CheckpointRun, Sentence
 from mtlens.errors import DataError
 from mtlens.quality import corpus_bleu
+from mtlens.report import collect
 from mtlens.robustness import consistency, robustness_report, robustness_suite
 
 from conftest import make_corpus, outcome
@@ -37,19 +38,19 @@ WORSE = make_corpus(
 
 
 def test_identical_corpora_unit_robustness():
-    rep = robustness_report("c1", "k", CLEAN, CLEAN, REF, corpus_bleu(CLEAN, REF))
+    rep = robustness_report("c1", "k", CLEAN, CLEAN, REF)
     assert rep.robustness == pytest.approx(1.0)
 
 
 def test_ratio_matches_component_bleu():
     expected = corpus_bleu(WORSE, REF).score / corpus_bleu(CLEAN, REF).score
-    rep = robustness_report("c1", "k", CLEAN, WORSE, REF, corpus_bleu(CLEAN, REF))
+    rep = robustness_report("c1", "k", CLEAN, WORSE, REF)
     assert rep.robustness == pytest.approx(min(1.0, expected))
 
 
 def test_robustness_clamped_when_perturbed_scores_higher():
     # "perturbed" output beats the clean one: raw ratio > 1, clamped to 1
-    rep = robustness_report("c1", "misspelling", WORSE, REF, REF, corpus_bleu(WORSE, REF))
+    rep = robustness_report("c1", "misspelling", WORSE, REF, REF)
     assert rep.raw_ratio > 1.0
     assert rep.robustness == 1.0
     assert rep.clamped is True
@@ -57,8 +58,46 @@ def test_robustness_clamped_when_perturbed_scores_higher():
 
 def test_robustness_zero_clean_bleu_rejected():
     disjoint = make_corpus(["x y z", "q w e", "r t y"])
+    with pytest.raises(DataError) as err:
+        robustness_report("c1", "k", disjoint, CLEAN, REF)
+    assert str(err.value) == "checkpoint c1: robustness undefined, clean BLEU is zero"
+
+
+def test_report_scores_its_own_clean_corpus():
+    rep = robustness_report("c1", "k", CLEAN, WORSE, REF)
+    assert rep.tq_clean == corpus_bleu(CLEAN, REF)
+    # a clean corpus the reference refuses raises corpus_bleu's message,
+    # before the perturbed corpus's
+    for perturbed in (CLEAN, CLEAN[:1]):
+        with pytest.raises(DataError) as err:
+            robustness_report("c1", "k", CLEAN[:2], perturbed, REF)
+        assert str(err.value) == "corpus length mismatch: 2 hypotheses vs 3 references"
+
+
+def test_each_pair_is_checked_once(monkeypatch):
+    calls = []
+    check = quality._check_corpora
+
+    def counting(hyp, ref):
+        calls.append((hyp, ref))
+        return check(hyp, ref)
+
+    monkeypatch.setattr(quality, "_check_corpora", counting)
+    # K = 2 kinds, C = 3 checkpoints: four pairs per report
+    run = _run({"c1": CLEAN, "c2": WORSE, "c3": REF})
+    kinds = {kind: _run({"c1": WORSE, "c2": REF, "c3": CLEAN}) for kind in "ab"}
+    assert len(robustness_suite(run, kinds)) == 6
+    assert len(calls) == 4 * 2 * 3
+    calls.clear()
+    corpus_bleu(CLEAN, REF)
+    assert len(calls) == 1
+    calls.clear()
     with pytest.raises(DataError):
-        robustness_report("c1", "k", disjoint, CLEAN, REF, corpus_bleu(disjoint, REF))
+        corpus_bleu(CLEAN[:2], REF)
+    assert len(calls) == 1
+    calls.clear()
+    collect(run, ["bleu"])
+    assert calls == [(c.hypotheses, REF) for c in run.checkpoints]
 
 
 def test_consistency_identical():
@@ -159,9 +198,7 @@ def test_suite_computes_clean_bleu_once_per_checkpoint(monkeypatch):
     assert sum(interned) == sum(len(s) for corpus in read for s in corpus)
     monkeypatch.undo()
     want = [
-        robustness_report(
-            cid, kind, ckpt, pert.checkpoints[i].hypotheses, REF, corpus_bleu(ckpt, REF)
-        )
+        robustness_report(cid, kind, ckpt, pert.checkpoints[i].hypotheses, REF)
         for kind, pert in sorted(kinds.items())
         for i, (cid, ckpt) in enumerate((("c1", CLEAN), ("c2", other)))
     ]
@@ -239,7 +276,7 @@ def test_suite_matches_oracle(case):
                 tq_clean = outcome(bleu_oracle.corpus_bleu, a, ref)
                 if isinstance(tq_clean, str):
                     continue
-                args = (ckpt.checkpoint_id, "k", a, b, ref, tq_clean)
+                args = (ckpt.checkpoint_id, "k", a, b, ref)
                 assert outcome(robustness_report, *args) == outcome(
-                    robustness_oracle.robustness_report, *args
+                    robustness_oracle.robustness_report, *args, tq_clean
                 )
