@@ -13,7 +13,7 @@ from .errors import DataError, NumericError, UsageError
 from .lrp import ContributionStats, RelevanceRecord, contribution_stats, contributions, lrp_backward
 from .perturb import PerturbationKind, PerturbationSpec, misspell_word, perturb_corpus
 from .quality import BleuScore, corpus_bleu, sentence_bleu
-from .report import ReportInputs, collect, emit_csv, emit_svg
+from .report import collect, emit_csv, emit_svg
 from .robustness import RobustnessReport, consistency, robustness_report, robustness_suite
 from .semsim import EmbeddingSet, RmssResult, cosine, embedding_set, load_embeddings, pool_tokens, rmss, save_embeddings
 from .series import MetricSeries, SeriesPoint

@@ -17,16 +17,17 @@ import sys
 
 from . import align as align_mod
 from . import report as report_mod
-from .corpus import check_lengths, load_corpus, load_run, save_corpus, write_text
+from .corpus import check_lengths, is_utf8, load_corpus, load_run, save_corpus, write_text
 from .errors import DataError, NumericError, UsageError
 from .lrp import contributions  # noqa: F401 (benchmarks/spans.py wraps this name)
 from .perturb import PerturbationKind, PerturbationSpec, perturb_corpus
 from .quality import corpus_bleu
 from .robustness import robustness_suite
 from .semsim import load_embeddings, rmss
+from .series import mean_or_none
 from .transformer import load_model, load_vocab
 from .wordorder import frs as frs_op
-from .wordorder import corpus_frs, mean_or_none, score_defined
+from .wordorder import corpus_frs, score_defined
 from .wordorder import ter as ter_op
 
 
@@ -124,6 +125,8 @@ def cmd_robust(args) -> str:
             kind, path = os.path.basename(os.path.normpath(item)), item
         if not kind:
             raise UsageError(f"--perturbed: empty kind in {item!r}")
+        if not is_utf8(kind):
+            raise UsageError(f"--perturbed: kind {kind!r} is not valid UTF-8")
         if kind in perturbed:
             raise UsageError(f"--perturbed: kind {kind!r} given more than once")
         perturbed[kind] = load_run(path)
@@ -199,14 +202,16 @@ def cmd_report(args) -> dict:
         if metric in metrics[:i]:
             raise UsageError(f"--metrics: metric {metric!r} given more than once")
     run = load_run(args.run_dir)
-    inputs = report_mod.ReportInputs(align_iterations=args.iters, rmss_k=args.k, lowercase=args.lc)
     # load only what a requested metric reads
+    embeddings = model = vocab = None
     if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
-        inputs.embeddings = _load_report_embeddings(args.embeddings, run)
+        embeddings = _load_report_embeddings(args.embeddings, run)
     if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
-        inputs.model = load_model(args.model)
-        inputs.vocab = load_vocab(args.vocab)
-    series, notes = report_mod.collect(run, metrics, inputs)
+        model, vocab = load_model(args.model), load_vocab(args.vocab)
+    series, notes = report_mod.collect(
+        run, metrics, iterations=args.iters, k=args.k, lowercase=args.lc,
+        embeddings=embeddings, model=model, vocab=vocab,
+    )
     for note in notes:
         print(note, file=sys.stderr)
     if args.csv:

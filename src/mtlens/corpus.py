@@ -126,6 +126,11 @@ def check_lengths(first: Corpus, second: Corpus) -> None:
         raise DataError(f"corpus length mismatch: {len(first)} vs {len(second)}")
 
 
+def is_utf8(name: str) -> bool:
+    """False where name holds a byte that is not UTF-8, which Python reads as a lone surrogate."""
+    return not any("\ud800" <= c <= "\udfff" for c in name)
+
+
 @dataclass(frozen=True)
 class CheckpointRun:
     checkpoint_id: str
@@ -142,8 +147,8 @@ class AnalysisRun:
 def load_run(run_dir) -> AnalysisRun:
     """Load src.txt, ref.txt and every checkpoints/<id>/hyp.txt.
 
-    Checkpoints are sorted by id; every corpus must have the same
-    sentence count as src.txt.
+    Checkpoints are sorted by id, and each id must be valid UTF-8;
+    every corpus must have the same sentence count as src.txt.
     """
     run_dir = str(run_dir)
     src_path = os.path.join(run_dir, "src.txt")
@@ -166,6 +171,8 @@ def load_run(run_dir) -> AnalysisRun:
         sub = os.path.join(ckpt_root, ckpt_id)
         if not os.path.isdir(sub):
             continue
+        if not is_utf8(ckpt_id):  # an id is written to CSV, SVG and stdout as UTF-8
+            raise DataError(f"{ckpt_root}: checkpoint name {ckpt_id!r} is not valid UTF-8")
         hyp_path = os.path.join(sub, "hyp.txt")
         if not os.path.isfile(hyp_path):
             raise DataError(f"checkpoint {ckpt_id}: missing {hyp_path}")

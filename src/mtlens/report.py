@@ -1,16 +1,15 @@
 """Metric collection over checkpoints and CSV/SVG emission.
 
-collect() computes one series per requested metric name; metrics
-whose extra inputs (embeddings, model) are missing produce a note
-instead of a crash. The BLEU series is one quality.corpus_bleus call,
-which counts the reference and each distinct checkpoint once. CSV rows
-are checkpoints, columns metrics, empty cells marking undefined
-points; csv_text() and format_value() also build the robust table.
-SVG output assembles one 800x400 line chart per series, stacked
-vertically in a single file.
+collect() computes one series per requested metric name from keyword
+inputs, trying each metric family once; a family that lacks an input
+or fails gives each requested name a note instead of a crash. BLEU is
+one quality.corpus_bleus call, and one relevance pass per checkpoint
+fills all three relevance series. CSV rows are checkpoints, columns
+metrics, empty cells marking undefined points; csv_text() and
+format_value() also build the robust table. SVG output assembles one
+800x400 line chart per series, stacked vertically in a single file.
 """
 
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .corpus import AnalysisRun, write_text
@@ -21,33 +20,20 @@ from .semsim import EmbeddingSet, rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import WORDORDER_METRICS, corpus_wordorder
 
-# the metrics that read ReportInputs.embeddings, and those that read model/vocab
+# the metrics that read embeddings; those that read model/vocab, to their ContributionStats field
 RMSS_METRICS = ("rmss-vs-ref", "rmss-vs-src")
-RELEVANCE_METRICS = ("avg-src-contribution", "src-entropy", "tgt-entropy")
-KNOWN_METRICS = ("bleu",) + WORDORDER_METRICS + RMSS_METRICS + RELEVANCE_METRICS
+RELEVANCE_METRICS = {
+    "avg-src-contribution": "avg_source_contribution",
+    "src-entropy": "source_entropy",
+    "tgt-entropy": "target_entropy",
+}
+KNOWN_METRICS = ("bleu",) + WORDORDER_METRICS + RMSS_METRICS + tuple(RELEVANCE_METRICS)
 
 
-@dataclass
-class ReportInputs:
-    """Optional inputs some metrics need.
-
-    embeddings: {"ref": EmbeddingSet, "src": EmbeddingSet,
-                 "checkpoints": {id: EmbeddingSet}}, one vector per run sentence each
-    model/vocab: transformer + vocabulary for relevance metrics.
-    """
-
-    embeddings: dict | None = None
-    model: object | None = None
-    vocab: object | None = None
-    align_iterations: int = 10
-    rmss_k: int = 4
-    lowercase: bool = False
-
-
-def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
+def _bleu_series(run: AnalysisRun, lowercase: bool) -> MetricSeries:
     """corpus_bleu of each checkpoint, or no value and every sentence skipped where it fails."""
     ref = run.reference
-    scores = corpus_bleus([(c.hypotheses, ref) for c in run.checkpoints], inputs.lowercase)
+    scores = corpus_bleus([(c.hypotheses, ref) for c in run.checkpoints], lowercase)
     points = tuple(
         SeriesPoint(c.checkpoint_id, None, len(ref))
         if isinstance(score, DataError)
@@ -57,8 +43,7 @@ def _bleu_series(run: AnalysisRun, inputs: ReportInputs) -> MetricSeries:
     return MetricSeries(metric_name="bleu", points=points)
 
 
-def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSeries:
-    emb = inputs.embeddings
+def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> MetricSeries:
     if not emb or side not in emb or "checkpoints" not in emb:
         raise DataError(f"missing {side} embeddings")
     missing = [
@@ -78,7 +63,7 @@ def _rmss_series(run: AnalysisRun, side: str, inputs: ReportInputs) -> MetricSer
     points = []
     for ckpt in run.checkpoints:
         y_set = emb["checkpoints"][ckpt.checkpoint_id]
-        result = rmss(x_set, y_set, inputs.rmss_k)
+        result = rmss(x_set, y_set, k)
         points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
     return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points))
 
@@ -100,57 +85,56 @@ def corpus_contributions(model, vocab, sources, targets):
     return scored, stats, skipped
 
 
-def _lrp_series(run: AnalysisRun, inputs: ReportInputs) -> dict:
-    if inputs.model is None or inputs.vocab is None:
+def _lrp_series(run: AnalysisRun, model, vocab) -> dict:
+    """Every RELEVANCE_METRICS series from one relevance pass per checkpoint."""
+    if model is None or vocab is None:
         raise DataError("missing model/vocab")
-    by_metric = {name: [] for name in RELEVANCE_METRICS}
+    points = {name: [] for name in RELEVANCE_METRICS}
     for ckpt in run.checkpoints:
-        _, stats, skipped = corpus_contributions(
-            inputs.model, inputs.vocab, run.source, ckpt.hypotheses
-        )
-        values = {
-            "avg-src-contribution": stats.avg_source_contribution,
-            "src-entropy": stats.source_entropy,
-            "tgt-entropy": stats.target_entropy,
-        }
-        for name, series_points in by_metric.items():
-            series_points.append(SeriesPoint(ckpt.checkpoint_id, values[name], skipped))
-    return {
-        name: MetricSeries(metric_name=name, points=tuple(points))
-        for name, points in by_metric.items()
-    }
+        _, stats, skipped = corpus_contributions(model, vocab, run.source, ckpt.hypotheses)
+        for name, field in RELEVANCE_METRICS.items():
+            points[name].append(SeriesPoint(ckpt.checkpoint_id, getattr(stats, field), skipped))
+    return {name: MetricSeries(name, tuple(series)) for name, series in points.items()}
 
 
-def collect(run: AnalysisRun, metrics, inputs: ReportInputs | None = None):
+def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
+            embeddings=None, model=None, vocab=None):
     """Compute the requested metric series.
 
-    Returns (series list in request order, notes list). A metric whose
-    inputs are missing, or whose computation raises a DataError or
-    NumericError, is dropped from the series list and noted.
+    iterations is the FRS EM iteration count, k the RMSS neighbourhood
+    size, lowercase the BLEU casing, embeddings {"ref": EmbeddingSet,
+    "src": EmbeddingSet, "checkpoints": {id: EmbeddingSet}} with one
+    vector per run sentence each, and model/vocab the transformer and
+    vocabulary of the relevance metrics.
+
+    Returns (series list in request order, notes list). Each family is
+    tried once; if its inputs are missing or it raises a DataError or
+    NumericError, each of its requested names gets a note instead.
     """
-    inputs = inputs or ReportInputs()
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
     if unknown:
         raise DataError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")
 
-    notes: list[str] = []
-    computed: dict[str, MetricSeries] = {}
+    computed: dict[str, MetricSeries | DataError | NumericError] = {}
     for metric in metrics:
-        if metric in computed:  # one relevance pass fills all three series
+        if metric in computed:  # one relevance pass fills or refuses all three series
             continue
         try:
             if metric == "bleu":
-                computed[metric] = _bleu_series(run, inputs)
+                computed[metric] = _bleu_series(run, lowercase)
             elif metric in WORDORDER_METRICS:
-                computed[metric] = corpus_wordorder(run, metric, inputs.align_iterations)
+                computed[metric] = corpus_wordorder(run, metric, iterations)
             elif metric in RMSS_METRICS:
-                computed[metric] = _rmss_series(run, metric.rsplit("-", 1)[1], inputs)
+                computed[metric] = _rmss_series(run, metric.rsplit("-", 1)[1], embeddings, k)
             else:
-                computed.update(_lrp_series(run, inputs))
+                computed.update(_lrp_series(run, model, vocab))
         except (DataError, NumericError) as exc:
-            notes.append(f"{metric}: skipped ({exc})")
+            refused = RELEVANCE_METRICS if metric in RELEVANCE_METRICS else (metric,)
+            computed.update(dict.fromkeys(refused, exc))
 
-    series = [computed[m] for m in metrics if m in computed]
+    results = [(m, computed[m]) for m in metrics]
+    series = [r for _, r in results if isinstance(r, MetricSeries)]
+    notes = [f"{m}: skipped ({r})" for m, r in results if not isinstance(r, MetricSeries)]
     return series, notes
 
 

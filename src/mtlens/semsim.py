@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import read_array, read_lines, write_text
 from .errors import DataError
-from .wordorder import mean_or_none
+from .series import mean_or_none
 
 # cosines held at once: one row tile of xn @ yn.T or yn @ xn.T (16 MB of float64)
 TILE_ELEMENTS = 1 << 21

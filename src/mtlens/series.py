@@ -17,3 +17,7 @@ class MetricSeries:
 
     def checkpoint_ids(self) -> list[str]:
         return [p.checkpoint_id for p in self.points]
+
+
+def mean_or_none(values) -> float | None:
+    return sum(values) / len(values) if values else None

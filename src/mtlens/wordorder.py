@@ -24,7 +24,7 @@ from .align import Alignment, train_model1, trainable_pairs
 from .align import viterbi_align  # noqa: F401 (benchmarks/spans.py wraps this name)
 from .corpus import AnalysisRun, Corpus, Sentence
 from .errors import DataError
-from .series import MetricSeries, SeriesPoint
+from .series import MetricSeries, SeriesPoint, mean_or_none
 
 WORDORDER_METRICS = ("frs-vs-ref", "ter-vs-ref", "frs-vs-src", "ter-vs-src")
 
@@ -173,10 +173,6 @@ def score_defined(rows, score) -> tuple[list, int]:
         else:
             scores.append(score(*row))
     return scores, skipped
-
-
-def mean_or_none(values) -> float | None:
-    return sum(values) / len(values) if values else None
 
 
 def corpus_frs(hyp: Corpus, other: Corpus, iterations: int = 10) -> tuple[list, int]:

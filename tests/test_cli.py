@@ -11,7 +11,7 @@ import pytest
 
 from mtlens.cli import main
 from mtlens.corpus import load_run
-from mtlens.report import RELEVANCE_METRICS, ReportInputs, collect
+from mtlens.report import RELEVANCE_METRICS, collect
 from mtlens.transformer import load_model, load_vocab
 
 from conftest import DATA_DIR
@@ -660,9 +660,8 @@ def test_report_notes_embeddings_that_do_not_cover_the_run(tmp_path, capsys):
 def test_lrp_summary_equals_report_relevance_cells(capsys):
     model = ["--model", str(DATA_DIR / "fixture.wts"), "--vocab", str(DATA_DIR / "vocab.txt")]
     run = load_run(DATA_DIR / "run3")
-    inputs = ReportInputs(model=load_model(DATA_DIR / "fixture.wts"),
-                          vocab=load_vocab(DATA_DIR / "vocab.txt"))
-    series, notes = collect(run, RELEVANCE_METRICS, inputs)
+    series, notes = collect(run, RELEVANCE_METRICS, model=load_model(DATA_DIR / "fixture.wts"),
+                            vocab=load_vocab(DATA_DIR / "vocab.txt"))
     assert notes == []
     src = str(DATA_DIR / "run3" / "src.txt")
     for row, ckpt in enumerate(run.checkpoints):

@@ -7,6 +7,7 @@ read, and every CSV table reads back cell for cell."""
 import contextlib
 import csv
 import io
+import os
 import re
 import shutil
 import tempfile
@@ -122,7 +123,9 @@ CLI_CASES = {
 
 
 def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # stdout encodes as entry() sets it up: strict UTF-8
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = main(argv)
@@ -151,6 +154,47 @@ def test_cli_report_exit_code_contract(data):
         code, err = run_main(["report", str(run), "--iters", "2", "--out", str(root / "o.json")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# argv with BAD for a copy of run3 whose checkpoint 000100 is named b"\xff100",
+# BAD_KIND for a copy of run3 named b"\xff", and OUT for an output file
+NON_UTF8_CASES = {
+    "report --csv": (["report", "BAD", "--csv", "OUT"], 2),
+    "report --svg": (["report", "BAD", "--svg", "OUT"], 2),
+    "report --out": (["report", "BAD", "--out", "OUT"], 2),
+    "robust clean": (["robust", "--clean", "BAD", "--perturbed", f"r={RUN}"], 2),
+    "robust clean --out": (
+        ["robust", "--clean", "BAD", "--perturbed", f"r={RUN}", "--out", "OUT"], 2
+    ),
+    "robust perturbed": (["robust", "--clean", str(RUN), "--perturbed", "BAD"], 2),
+    "robust kind": (["robust", "--clean", str(RUN), "--perturbed", f"\udcff={RUN}"], 1),
+    "robust kind --out": (
+        ["robust", "--clean", str(RUN), "--perturbed", f"\udcff={RUN}", "--out", "OUT"], 1
+    ),
+    "robust basename kind": (["robust", "--clean", str(RUN), "--perturbed", "BAD_KIND"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_CASES))
+def test_cli_refuses_names_that_are_not_utf8(case, tmp_path):
+    argv, want = NON_UTF8_CASES[case]
+    bad = tmp_path / "bad"
+    paths = {"BAD": bad, "BAD_KIND": tmp_path / os.fsdecode(b"\xff"), "OUT": tmp_path / "out"}
+    if os.fsdecode(b"\xff") != "\udcff":
+        pytest.skip("file names are not decoded as UTF-8")
+    try:  # argv and os.listdir decode a byte that is not UTF-8 to a lone surrogate
+        shutil.copytree(RUN, paths["BAD_KIND"])
+        shutil.copytree(RUN, bad)
+        os.rename(bad / "checkpoints" / "000100", bad / "checkpoints" / os.fsdecode(b"\xff100"))
+    except OSError as exc:
+        pytest.skip(f"the file system refuses a name that is not UTF-8: {exc}")
+    for old in (None, b"kept\n"):  # no output file is created or truncated
+        if old is not None:
+            paths["OUT"].write_bytes(old)
+        code, err = run_main([str(paths.get(a, a)) for a in argv])
+        assert code == want
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not valid UTF-8" in err
+        assert (paths["OUT"].read_bytes() if paths["OUT"].exists() else None) == old
 
 
 # -- the block parser against the float() row parsers -------------------------

@@ -4,12 +4,12 @@ import pytest
 
 import model1_oracle
 import wordorder_oracle
-from mtlens import quality
+from mtlens import quality, report
 from mtlens.align import TranslationTable, align_corpora
 from mtlens.corpus import AnalysisRun, CheckpointRun, load_run
-from mtlens.errors import DataError
+from mtlens.errors import DataError, NumericError
 from mtlens.quality import corpus_bleu
-from mtlens.report import ReportInputs, collect, emit_csv, emit_svg
+from mtlens.report import RELEVANCE_METRICS, collect, emit_csv, emit_svg
 from mtlens.semsim import load_embeddings, rmss
 from mtlens.series import MetricSeries, SeriesPoint
 from mtlens.transformer import load_model, load_vocab
@@ -35,7 +35,7 @@ def fixture_run():
     return load_run(DATA_DIR / "run3")
 
 
-def fixture_inputs(**kw):
+def fixture_inputs():
     run = fixture_run()
     emb = {
         "ref": load_embeddings(DATA_DIR / "emb3" / "ref.emb"),
@@ -47,14 +47,13 @@ def fixture_inputs(**kw):
             for c in run.checkpoints
         },
     }
-    inputs = ReportInputs(
-        embeddings=emb,
-        model=load_model(DATA_DIR / "fixture.wts"),
-        vocab=load_vocab(DATA_DIR / "vocab.txt"),
-        align_iterations=5,
-        rmss_k=2,
-        **kw,
-    )
+    inputs = {
+        "embeddings": emb,
+        "model": load_model(DATA_DIR / "fixture.wts"),
+        "vocab": load_vocab(DATA_DIR / "vocab.txt"),
+        "iterations": 5,
+        "k": 2,
+    }
     return run, inputs
 
 
@@ -90,8 +89,8 @@ def test_collect_unknown_metric_rejected():
 def test_collect_order_stability():
     run, inputs = fixture_inputs()
     metrics = ["bleu", "ter-vs-ref", "rmss-vs-ref"]
-    series_a, _ = collect(run, metrics, inputs)
-    series_b, _ = collect(run, list(reversed(metrics)), inputs)
+    series_a, _ = collect(run, metrics, **inputs)
+    series_b, _ = collect(run, list(reversed(metrics)), **inputs)
     assert [s.metric_name for s in series_a] == metrics
     assert [s.metric_name for s in series_b] == list(reversed(metrics))
     a_by_name = {s.metric_name: s for s in series_a}
@@ -102,7 +101,7 @@ def test_collect_order_stability():
 def test_collect_matches_direct_ops():
     run, inputs = fixture_inputs()
     series, notes = collect(
-        run, ["bleu", "frs-vs-ref", "ter-vs-ref", "rmss-vs-ref"], inputs
+        run, ["bleu", "frs-vs-ref", "ter-vs-ref", "rmss-vs-ref"], **inputs
     )
     assert notes == []
     by_name = {s.metric_name: s for s in series}
@@ -116,8 +115,8 @@ def test_collect_matches_direct_ops():
 
     for idx, ckpt in enumerate(run.checkpoints):
         direct = rmss(
-            inputs.embeddings["ref"],
-            inputs.embeddings["checkpoints"][ckpt.checkpoint_id],
+            inputs["embeddings"]["ref"],
+            inputs["embeddings"]["checkpoints"][ckpt.checkpoint_id],
             2,
         ).mean
         assert by_name["rmss-vs-ref"].points[idx].value == pytest.approx(direct, abs=1e-9)
@@ -130,7 +129,7 @@ def test_bleu_series_equals_corpus_bleu_per_checkpoint(name, lowercase):
     # a checkpoint of the wrong length fails its check and scores nothing
     short = CheckpointRun("short", run.checkpoints[0].hypotheses[:-1])
     run = AnalysisRun(run.source, run.reference, run.checkpoints + (short,) + run.checkpoints)
-    series, notes = collect(run, ["bleu"], ReportInputs(lowercase=lowercase))
+    series, notes = collect(run, ["bleu"], lowercase=lowercase)
     assert notes == []
     want = []
     for ckpt in run.checkpoints:
@@ -184,7 +183,7 @@ def test_collect_frs_looks_up_no_table_probabilities(monkeypatch):
         raise AssertionError("training alignments must come from the link arrays")
 
     monkeypatch.setattr(TranslationTable, "prob_block", no_lookup)
-    series, notes = collect(run, ["frs-vs-ref"], ReportInputs(align_iterations=5))
+    series, notes = collect(run, ["frs-vs-ref"], iterations=5)
     assert notes == []
     assert series == [want_series]
     assert align_corpora(hyp, run.reference, iterations=5) == want_links
@@ -193,7 +192,7 @@ def test_collect_frs_looks_up_no_table_probabilities(monkeypatch):
 def test_collect_lrp_metrics_present():
     run, inputs = fixture_inputs()
     series, notes = collect(
-        run, ["avg-src-contribution", "src-entropy", "tgt-entropy"], inputs
+        run, ["avg-src-contribution", "src-entropy", "tgt-entropy"], **inputs
     )
     assert notes == []
     assert [s.metric_name for s in series] == [
@@ -206,6 +205,30 @@ def test_collect_lrp_metrics_present():
     avg = {s.metric_name: s for s in series}["avg-src-contribution"]
     for point in avg.points:
         assert 0.0 <= point.value <= 1.0
+
+
+def test_failing_relevance_pass_runs_once(monkeypatch):
+    run, inputs = fixture_inputs()
+    corpus_contributions = report.corpus_contributions
+    calls = []
+
+    def fails_at_last_checkpoint(model, vocab, sources, targets):
+        calls.append(targets)
+        if targets is run.checkpoints[-1].hypotheses:
+            raise NumericError("relevance overflow")
+        return corpus_contributions(model, vocab, sources, targets)
+
+    monkeypatch.setattr(report, "corpus_contributions", fails_at_last_checkpoint)
+    series, notes = collect(
+        run, ["bleu", *RELEVANCE_METRICS], model=inputs["model"], vocab=inputs["vocab"]
+    )
+    assert calls == [c.hypotheses for c in run.checkpoints]
+    assert [s.metric_name for s in series] == ["bleu"]
+    assert notes == [
+        "avg-src-contribution: skipped (relevance overflow)",
+        "src-entropy: skipped (relevance overflow)",
+        "tgt-entropy: skipped (relevance overflow)",
+    ]
 
 
 def _series(name, values):
@@ -264,7 +287,7 @@ def test_lrp_series_skips_empty_sentences():
     src = make_corpus(["ka ke", "ko"])
     hyp = make_corpus(["ra re", ""])
     run = AnalysisRun(source=src, reference=ref, checkpoints=(CheckpointRun("c1", hyp),))
-    series, notes = collect(run, ["avg-src-contribution"], inputs)
+    series, notes = collect(run, ["avg-src-contribution"], **inputs)
     assert notes == []
     point = series[0].points[0]
     assert point.skip_count == 1
