@@ -12,28 +12,43 @@ Layout (the flat arrays of fast_align, Dyer et al. 2013): each side's
 words are interned once to integer ids, in order of first use, and
 NULL is other-side id 0. A word pair (h, o) is the key o*H + h, with
 H the size of the hypothesis vocabulary; the table keeps the sorted
-keys of every co-occurring pair and one probability per key. Training
-builds one link per (hypothesis token, other token) of every trainable
-sentence pair, in (sentence, hypothesis position, other position)
-order. A link's row is its (sentence, hypothesis position) and its
-pair id is its key's index among the sorted keys. One EM iteration is
-three `np.bincount` calls: the E-step denominators over the row ids,
-the expected counts over the pair ids and the per-word totals over
-the other-side ids.
+keys of every co-occurring pair and one probability per key, so each
+other-side word's pairs form one run. Training has one link per
+(hypothesis token, other token) of every trainable sentence pair, in
+(sentence, hypothesis position, other position) order. A link's row
+is its (sentence, hypothesis position) and its pair id is its key's
+index among the sorted keys. The links are walked in chunks of whole
+sentence pairs, at most LINK_CHUNK links each unless one pair alone
+has more.
+
+Memory: interning fills one int64 key per link, argsorts the keys and
+scatters the running count of distinct sorted keys back through the
+permutation, which is `np.unique`'s own algorithm at a peak of 24
+bytes per link. Across EM, three 8-byte arrays live per link (pair id,
+other-side id and expected count) and two per pair (key and t; three
+while the next t is built and normalised). An E-step chunk gathers its
+links' t into the count array, takes its rows' denominators with
+`np.bincount` over chunk-local row ids and divides in place, so no
+other array spans the bitext. The M-step is two `np.bincount` calls
+over the whole count array: the expected counts over the pair ids and
+the per-word totals over the other-side ids. On 2,000 pairs of 40
+tokens over 400-word vocabularies (3.28M links), training peaks at 26
+bytes per link under `tracemalloc`; whole-bitext temporaries took 58.
 
 The result is bit-identical to the plain nested-dict EM kept in
-`tests/model1_oracle.py`: `bincount` adds its weights one by one in
-index order, which is the order the dict loops add them in; each
-row's log term is taken with `math.log` (NumPy's `log` may differ in
-the last bit); and the log terms are added with a sequential `+=` in
-row order, since `sum` compensates its rounding on Python 3.12 and
-later.
+`tests/model1_oracle.py` and to the whole-bitext arrays kept in
+`tests/model1_unchunked_oracle.py`: `bincount` adds its weights one by
+one in index order, which is the order the dict loops add them in;
+each row's log term is taken with `math.log` (NumPy's `log` may differ
+in the last bit); and the log terms are added with a sequential `+=`
+in row order, chunk after chunk, since `sum` compensates its rounding
+on Python 3.12 and later.
 
 Viterbi needs no lookups for the training bitext: after the last
 iteration, t of each link is its final probability, and each row
-[NULL, o_1..o_m] picks its link in one segmented argmax over all the
-rows (`np.maximum.reduceat`), so `train_model1` returns the alignment
-of every training sentence. The tie rule is a strict `>` scan's: the
+[NULL, o_1..o_m] picks its link in one segmented argmax per chunk
+(`np.maximum.reduceat`), so `train_model1` returns the alignment of
+every training sentence. The tie rule is a strict `>` scan's: the
 first maximum among the real positions, NULL only when strictly more
 likely. `viterbi_align` applies the same routine to one sentence
 pair's block of table probabilities, for pairs outside the training
@@ -56,6 +71,8 @@ from .errors import DataError
 NULL = None
 
 PROB_FLOOR = 1e-12
+# links per EM chunk; a sentence pair with more links is a chunk of its own
+LINK_CHUNK = 1 << 15
 
 _PHARAOH_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
@@ -141,6 +158,42 @@ def _alignment(best: list[int]) -> Alignment:
     return frozenset((i, j) for i, j in enumerate(best) if j >= 0)
 
 
+def _chunks(pair_links):
+    """(start, stop) sentence-pair ranges of at most LINK_CHUNK links, one pair at least."""
+    start = size = 0
+    for i, links in enumerate(pair_links):
+        if i > start and size + links > LINK_CHUNK:
+            yield start, i
+            start, size = i, 0
+        size += links
+    if start < len(pair_links):
+        yield start, len(pair_links)
+
+
+def _link_pairs(sent_h, sent_o, link_at, n_hyp):
+    """The sorted distinct keys of the links, and each link's index among them.
+
+    The result of np.unique(keys, return_inverse=True), by its own
+    algorithm, with each temporary freed as soon as it is dead.
+    """
+    keys = np.empty(link_at[-1], dtype=np.int64)
+    for h, o, at in zip(sent_h, sent_o, link_at):
+        np.add.outer(h, o * n_hyp, out=keys[at:at + h.size * o.size].reshape(h.size, o.size))
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pair_keys = keys[first]
+    del keys
+    ids = np.cumsum(first, dtype=np.int64)
+    del first
+    ids -= 1
+    pair = np.empty_like(ids)
+    pair[order] = ids
+    return pair_keys, pair
+
+
 def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> TranslationTable:
     """Standard Model 1 EM over the (hyp, other) bitext, and its Viterbi alignments.
 
@@ -156,41 +209,51 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
 
     hyp_ids: dict = {}
     other_ids: dict = {NULL: 0}
-    row_h, link_o, hyp_len, other_len = [], [], [], []
+    sent_h, sent_o = [], []
     for k in kept:
-        h = [hyp_ids.setdefault(w, len(hyp_ids)) for w in hyp[k].tokens]
-        o = np.array([0] + [other_ids.setdefault(w, len(other_ids)) for w in other[k].tokens])
-        row_h += h
-        link_o.append(np.tile(o, len(h)))
-        hyp_len.append(len(h))
-        other_len.append(len(o))
-    link_o = np.concatenate(link_o)
+        o = [other_ids.setdefault(w, len(other_ids)) for w in other[k].tokens]
+        sent_h.append(np.array([hyp_ids.setdefault(w, len(hyp_ids)) for w in hyp[k].tokens]))
+        sent_o.append(np.array([0] + o))
+    hyp_len = np.array([h.size for h in sent_h])
+    other_len = np.array([o.size for o in sent_o])
+    pair_links = hyp_len * other_len
+    link_at = np.concatenate(([0], np.cumsum(pair_links))).tolist()
+    row_at = np.concatenate(([0], np.cumsum(hyp_len))).tolist()
+    chunks = [
+        (slice(link_at[start], link_at[stop]), slice(row_at[start], row_at[stop]))
+        for start, stop in _chunks(pair_links.tolist())
+    ]
     row_len = np.repeat(other_len, hyp_len)
-    keys = link_o * len(hyp_ids) + np.repeat(row_h, row_len)
-    pair_keys, pair = np.unique(keys, return_inverse=True)
-    del keys, row_h
-    row = np.repeat(np.arange(len(row_len)), row_len)
-    pair_o = pair_keys // len(hyp_ids)
+    pair_keys, pair = _link_pairs(sent_h, sent_o, link_at, len(hyp_ids))
+    del sent_h, sent_o
+    # keys sort by other word first, so each word's pairs are one run
+    word_pairs = np.bincount(pair_keys // len(hyp_ids))
+    link_o = np.repeat(np.arange(len(word_pairs)), word_pairs)[pair]
 
     # uniform init over co-occurring pairs
-    t = 1.0 / np.bincount(pair_o)[pair_o]
+    t = np.repeat(1.0 / word_pairs, word_pairs)
+    c = np.empty(len(pair))  # each link's t, then, over its row's sum, its expected count
     history = []
     for _ in range(iterations):
-        c = t[pair]  # each link's t, then, over its row's sum, its expected count
-        denom = np.bincount(row, weights=c)
         log_like = 0.0
-        for mean in np.maximum(denom / row_len, PROB_FLOOR).tolist():
-            log_like += math.log(mean)
+        for links, rows in chunks:
+            lens = row_len[rows]
+            chunk = c[links]
+            chunk[:] = t[pair[links]]
+            denom = np.bincount(np.repeat(np.arange(len(lens)), lens), weights=chunk)
+            for mean in np.maximum(denom / lens, PROB_FLOOR).tolist():
+                log_like += math.log(mean)
+            chunk /= np.repeat(np.maximum(denom, PROB_FLOOR), lens)
         history.append(log_like)
-        c /= np.repeat(np.maximum(denom, PROB_FLOOR), row_len)
         t = np.bincount(pair, weights=c, minlength=len(pair_keys))
-        t /= np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR)[pair_o]
-    del c, link_o, row
+        t /= np.repeat(np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR), word_pairs)
+    del c, link_o
 
-    best = _viterbi_rows(t[pair], row_len)
+    best = []
+    for links, rows in chunks:
+        best += _viterbi_rows(t[pair[links]], row_len[rows])
     alignments = [frozenset()] * len(hyp)
-    ends = np.cumsum(hyp_len).tolist()  # rows run sentence by sentence
-    for k, begin, end in zip(kept, [0] + ends, ends):
+    for k, begin, end in zip(kept, row_at, row_at[1:]):  # rows run sentence by sentence
         alignments[k] = _alignment(best[begin:end])
 
     return TranslationTable(

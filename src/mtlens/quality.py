@@ -9,9 +9,10 @@ corpus_bleus() is the one place corpora are checked and counted: it
 scores many (hyp, ref) pairs at once and returns, per pair, its
 BleuScore or the DataError that refuses it; corpus_bleu() is its
 one-pair case and raises that error. Each distinct corpus (by value)
-is counted once. Clipped matches, sum over n-grams of min(c_h, c_r),
-are integers and symmetric in the two sides, so a pair and its
-reverse share one count. The counts walk the sentences in blocks of
+is counted once, and each corpus object is hashed once, then found by
+its id. Clipped matches, sum over n-grams of min(c_h, c_r), are
+integers and symmetric in the two sides, so a pair and its reverse
+share one count. The counts walk the sentences in blocks of
 at most BLOCK_TOKENS tokens over all the corpora, so memory does not
 grow with corpus length. The totals, sum over sentences of
 max(0, len - n + 1), come from the hypothesis lengths alone, once
@@ -177,13 +178,21 @@ def corpus_bleus(pairs, lowercase: bool = False) -> list[BleuScore | DataError]:
 
     Each pair is checked once. One count covers the pairs that pass:
     each distinct corpus, by value, is counted once, and a pair and its
-    reverse share their clipped matches.
+    reverse share their clipped matches. A corpus object is looked up
+    by identity first, so its sentences are hashed once per call.
     """
     index = {}  # the distinct corpora of the pairs that pass, in order of first use
+    seen = {}  # id -> (corpus, its index); holding the corpus keeps its id from reuse
+
+    def lookup(corpus):
+        if id(corpus) not in seen:
+            seen[id(corpus)] = corpus, index.setdefault(corpus, len(index))
+        return seen[id(corpus)][1]
+
     at = []  # per pair: the indices of its hyp and ref, or its DataError
     for hyp, ref in pairs:
         error = _check_corpora(hyp, ref)
-        at.append(error or tuple(index.setdefault(corpus, len(index)) for corpus in (hyp, ref)))
+        at.append(error or (lookup(hyp), lookup(ref)))
     corpora = list(index)
     counted = list(dict.fromkeys(tuple(sorted(hr)) for hr in at if isinstance(hr, tuple)))
     matched = dict(zip(counted, _clipped_matches(corpora, counted, lowercase)))

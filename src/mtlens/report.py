@@ -111,6 +111,7 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
     tried once; if its inputs are missing or it raises a DataError or
     NumericError, each of its requested names gets a note instead.
     """
+    metrics = tuple(metrics)  # walked three times; an iterator would be used up by the first
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
     if unknown:
         raise DataError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")

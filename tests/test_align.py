@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import model1_oracle
+import model1_unchunked_oracle
+from mtlens import align
 from mtlens.align import (
     NULL,
     Alignment,
@@ -164,9 +167,32 @@ def test_train_model1_memory_per_link():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 62 bytes per link; keeping the link-building arrays through
-    # EM, and a new array for each step of it, took about 83
-    assert peak < 75 * links
+    # about 38 bytes per link; whole-bitext link arrays took about 62,
+    # and keeping the link-building arrays through EM about 83
+    assert peak < 44 * links
+
+
+def test_train_model1_memory_is_bounded_per_link_and_pair():
+    rng = SplitMix64(4)
+
+    def line(prefix):
+        return " ".join(f"{prefix}{rng.randrange(5000)}" for _ in range(20 + rng.randrange(21)))
+
+    hyp = make_corpus([line("h") for _ in range(400)])
+    other = make_corpus([line("o") for _ in range(400)])
+    links = sum(len(h.tokens) * (len(o.tokens) + 1) for h, o in zip(hyp, other))
+    assert links > 4 * align.LINK_CHUNK
+    tracemalloc.start()
+    try:
+        table = train_model1(hyp, other, iterations=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 24 bytes per link to intern and through EM, 24 per pair (key, t and
+    # the next t or its normaliser) and a megabyte for the chunk
+    # temporaries and the interned sentences; one more array spanning
+    # the bitext adds 8 bytes per link, 3 MB here
+    assert peak < 26 * links + 24 * len(table.pair_keys) + 2**20
 
 
 # -- equality with the nested-dict EM in tests/model1_oracle.py ---------------
@@ -258,3 +284,71 @@ def test_equals_dict_oracle_on_seeded_bitexts():
         hyp = make_corpus([line("h", 6) for _ in range(8)])
         other = make_corpus([line("o", 20) for _ in range(8)])
         assert_same_as_oracle(hyp, other, 5)
+
+
+# -- chunked EM against both oracles, bit for bit ------------------------------
+
+
+def assert_same_bits(hyp, other, iterations):
+    """pair_keys, probs, history and alignments equal both oracles' bit for bit."""
+    table = train_model1(hyp, other, iterations=iterations)
+    unchunked = model1_unchunked_oracle.train_model1(hyp, other, iterations=iterations)
+    assert (table.hyp_ids, table.other_ids) == (unchunked.hyp_ids, unchunked.other_ids)
+    for name in ("pair_keys", "probs"):
+        got, want = getattr(table, name), getattr(unchunked, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    assert table.log_likelihood_history == unchunked.log_likelihood_history
+    assert table.alignments == unchunked.alignments
+
+    oracle = model1_oracle.train_model1(hyp, other, iterations=iterations)
+    assert table.log_likelihood_history == oracle.log_likelihood_history
+    n_hyp = len(table.hyp_ids)
+    want = sorted(
+        (table.other_ids[o] * n_hyp + table.hyp_ids[h], p)
+        for o, row in oracle.t.items()
+        for h, p in row.items()
+    )
+    assert table.pair_keys.tolist() == [key for key, _ in want]
+    assert table.probs.tobytes() == np.array([p for _, p in want]).tobytes()
+    assert list(table.alignments) == [
+        model1_oracle.viterbi_align(oracle, h, o) for h, o in zip(hyp, other)
+    ]
+
+
+@st.composite
+def chunked_bitexts(draw):
+    """1-6 pairs of 0-10 tokens over 2-4-word vocabularies, one pair trainable.
+
+    A 10 x 10 pair has 110 links, more than a 64-link chunk holds.
+    """
+    hyp_words = ["a", "b", "c", "d"][: draw(st.integers(2, 4))]
+    other_words = ["x", "y", "a", "z"][: draw(st.integers(2, 4))]
+    line = st.lists(st.sampled_from(hyp_words), max_size=10).map(" ".join)
+    other_line = st.lists(st.sampled_from(other_words), max_size=10).map(" ".join)
+    pairs = draw(st.lists(st.tuples(line, other_line), min_size=1, max_size=6))
+    pairs.insert(draw(st.integers(0, len(pairs))), ("a b", "x"))
+    return make_corpus([h for h, _ in pairs]), make_corpus([o for _, o in pairs])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chunked_bitexts(), st.integers(1, 5))
+def test_chunked_em_equals_both_oracles(bitext, iterations):
+    hyp, other = bitext
+    # one-link chunks, chunks that most pairs overflow, and the default
+    for chunk in (1, 7, 64, align.LINK_CHUNK):
+        with mock.patch.object(align, "LINK_CHUNK", chunk):
+            assert_same_bits(hyp, other, iterations)
+
+
+def test_pair_larger_than_a_chunk_equals_both_oracles():
+    rng = SplitMix64(9)
+
+    def line(prefix, length):
+        return " ".join(f"{prefix}{rng.randrange(60)}" for _ in range(length))
+
+    # the 200 x 199 pair holds 200 * (199 + 1) links, NULL included
+    lengths = [(5, 7), (200, 199), (0, 4), (6, 0), (30, 25), (1, 1)]
+    hyp = make_corpus([line("h", n) for n, _ in lengths])
+    other = make_corpus([line("o", m) for _, m in lengths])
+    assert 200 * (199 + 1) > align.LINK_CHUNK
+    assert_same_bits(hyp, other, 3)

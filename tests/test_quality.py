@@ -250,6 +250,26 @@ def test_corpus_bleus_matches_oracle_pair_by_pair(pairs, lowercase):
         assert calls == one_count
 
 
+def test_corpus_bleus_hashes_each_corpus_object_once(monkeypatch):
+    hashed = []
+    sentence_hash = Sentence.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return sentence_hash(self)
+
+    hyp = make_corpus(["a b c d", "b c d", "a a b"])
+    ref = make_corpus(["a b c e", "b c", "a b"])
+    copy = tuple(Sentence.from_line(s.raw) for s in ref)  # equal to ref, another object
+    pairs = [(hyp, ref), (ref, hyp), (hyp, copy), (copy, ref), (ref, make_corpus(["x"]))] * 8
+    want = [outcome(bleu_oracle.corpus_bleu, h, r, False) for h, r in pairs]
+    monkeypatch.setattr(Sentence, "__hash__", counting_hash)
+    got = quality.corpus_bleus(pairs)
+    # hyp, ref and copy once each; the refused pairs are never looked up
+    assert len(hashed) == len(hyp) + len(ref) + len(copy)
+    assert [f"DataError: {g}" if isinstance(g, DataError) else g for g in got] == want
+
+
 def test_corpus_bleu_memory_is_bounded_by_the_block():
     rng = SplitMix64(3)
     hyp, ref = (

@@ -98,6 +98,14 @@ def test_collect_order_stability():
         assert s == a_by_name[s.metric_name]
 
 
+def test_collect_takes_a_one_shot_iterator():
+    run = fixture_run()
+    metrics = ["bleu", "ter-vs-ref", "frs-vs-ref"]
+    series, notes = collect(run, iter(metrics))
+    assert [s.metric_name for s in series] == metrics and notes == []
+    assert (series, notes) == collect(run, metrics)
+
+
 def test_collect_matches_direct_ops():
     run, inputs = fixture_inputs()
     series, notes = collect(
