@@ -211,6 +211,16 @@ GOLDEN_CLI = (
          False),
         (["robust", "--clean", RUN, "--perturbed", "a=" + RUN, "--perturbed", "b=" + COMMA,
           "--ref", RUN + "/checkpoints/000200/hyp.txt"], False),
+        # Viterbi ties after one or two EM iterations: none of run3's 48
+        # hypothesis rows against ref.txt tie, 27 of ref.txt's 48 rows against
+        # a misspelled checkpoint do, and comma's rows tie NULL twice
+        (["align", HYP, REF, "--iters", "1"], False),
+        (["frs", HYP, REF, "--iters", "1", "--per-sentence"], False),
+        (["align", REF, MISSPELLED + "/checkpoints/000100/hyp.txt", "--iters", "1"], False),
+        (["frs", REF, MISSPELLED + "/checkpoints/000100/hyp.txt", "--iters", "1",
+          "--per-sentence"], False),
+        (["align", HOLES, MISSPELLED + "/checkpoints/000100/hyp.txt", "--iters", "1"], False),
+        (["align", COMMA + "/ref.txt", COMMA + "/src.txt", "--iters", "2"], False),
     ]
 )
 
