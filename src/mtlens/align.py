@@ -18,8 +18,8 @@ other-side word's pairs form one run. Training has one link per
 (sentence, hypothesis position, other position) order. A link's row
 is its (sentence, hypothesis position) and its pair id is its key's
 index among the sorted keys. The links are walked in chunks of whole
-sentence pairs, at most LINK_CHUNK links each unless one pair alone
-has more.
+sentence pairs, packed by `corpus.ranges`: at most LINK_CHUNK links
+each unless one pair alone has more.
 
 Memory: interning fills one int64 key per link, argsorts the keys and
 scatters the running count of distinct sorted keys back through the
@@ -44,15 +44,15 @@ in the last bit); and the log terms are added with a sequential `+=`
 in row order, chunk after chunk, since `sum` compensates its rounding
 on Python 3.12 and later.
 
-Viterbi needs no lookups for the training bitext: after the last
-iteration, t of each link is its final probability, and each row
-[NULL, o_1..o_m] picks its link in one segmented argmax per chunk
-(`np.maximum.reduceat`), so `train_model1` returns the alignment of
-every training sentence. The tie rule is a strict `>` scan's: the
-first maximum among the real positions, NULL only when strictly more
-likely. `viterbi_align` applies the same routine to one sentence
-pair's block of table probabilities, for pairs outside the training
-bitext.
+Viterbi is one routine, `_viterbi`, over one sentence pair's block of
+probabilities, a row per hypothesis token with columns [NULL, o_1..o_m]:
+each row links to the first real position with the row's largest
+probability (`argmax`, the tie rule of a strict `>` scan), unless that
+probability is 0 or NULL's is strictly larger. After the last
+iteration t of each link is its final probability and a trained pair's
+links reshape into its block, so `train_model1` returns the alignment
+of every training sentence without lookups; `viterbi_align` reads a
+block of table probabilities, for sentence pairs outside the bitext.
 
 Alignments serialize to Pharaoh text: line k holds space-separated
 "i-j" pairs for sentence k, an empty line meaning no links.
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, read_lines, write_text
+from .corpus import Corpus, Sentence, ranges, read_lines, write_text
 from .errors import DataError
 
 # conditioning-side NULL; None cannot collide with a real token string
@@ -130,44 +130,16 @@ def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list[int]:
     return [k for k, (h, o) in enumerate(zip(hyp, other)) if h.tokens and o.tokens]
 
 
-def _viterbi_rows(p: np.ndarray, row_len: np.ndarray) -> list[int]:
-    """The Viterbi link of every row of link probabilities laid end to end in p.
+def _viterbi(block: np.ndarray) -> Alignment:
+    """The links (i, j) of one sentence pair's rows of [NULL, o_1..o_m] probabilities.
 
-    Row r holds row_len[r] >= 2 probabilities, [NULL, o_1..o_m].
-    Returns, per row, the 0-based real position it links to: the first
-    real position with the row's largest probability. A row links to
-    nothing (-1) when that probability is 0 or NULL's is strictly
-    larger.
+    Row i links to the first j with the row's largest real probability,
+    unless that is 0 or NULL's is strictly larger.
     """
-    start = np.cumsum(row_len) - row_len
-    is_real = np.ones(len(p), dtype=bool)
-    is_real[start] = False
-    real_p = p[is_real]
-    real_start = start - np.arange(len(start))
-    best_p = np.maximum.reduceat(real_p, real_start)
-    not_best = real_p != np.repeat(best_p, row_len - 1)
-    first = np.arange(len(real_p))
-    first[not_best] = len(real_p)
-    first = np.minimum.reduceat(first, real_start)
-    linked = (best_p > 0.0) & (p[start] <= best_p)
-    return np.where(linked, first - real_start, -1).tolist()
-
-
-def _alignment(best: list[int]) -> Alignment:
-    """The links (i, best[i]) of one sentence's rows, leaving out -1."""
-    return frozenset((i, j) for i, j in enumerate(best) if j >= 0)
-
-
-def _chunks(pair_links):
-    """(start, stop) sentence-pair ranges of at most LINK_CHUNK links, one pair at least."""
-    start = size = 0
-    for i, links in enumerate(pair_links):
-        if i > start and size + links > LINK_CHUNK:
-            yield start, i
-            start, size = i, 0
-        size += links
-    if start < len(pair_links):
-        yield start, len(pair_links)
+    j = block[:, 1:].argmax(axis=1)
+    best = block[np.arange(len(block)), j + 1]
+    linked = (best > 0.0) & (block[:, 0] <= best)
+    return frozenset(zip(np.flatnonzero(linked).tolist(), j[linked].tolist()))
 
 
 def _link_pairs(sent_h, sent_o, link_at, n_hyp):
@@ -221,7 +193,7 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
     row_at = np.concatenate(([0], np.cumsum(hyp_len))).tolist()
     chunks = [
         (slice(link_at[start], link_at[stop]), slice(row_at[start], row_at[stop]))
-        for start, stop in _chunks(pair_links.tolist())
+        for start, stop in ranges(pair_links.tolist(), LINK_CHUNK)
     ]
     row_len = np.repeat(other_len, hyp_len)
     pair_keys, pair = _link_pairs(sent_h, sent_o, link_at, len(hyp_ids))
@@ -249,12 +221,9 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
         t /= np.repeat(np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR), word_pairs)
     del c, link_o
 
-    best = []
-    for links, rows in chunks:
-        best += _viterbi_rows(t[pair[links]], row_len[rows])
     alignments = [frozenset()] * len(hyp)
-    for k, begin, end in zip(kept, row_at, row_at[1:]):  # rows run sentence by sentence
-        alignments[k] = _alignment(best[begin:end])
+    for k, begin, end, rows in zip(kept, link_at, link_at[1:], hyp_len.tolist()):
+        alignments[k] = _viterbi(t[pair[begin:end]].reshape(rows, -1))
 
     return TranslationTable(
         hyp_ids=hyp_ids,
@@ -277,8 +246,7 @@ def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Al
     """
     if not hyp.tokens or not other.tokens:
         return frozenset()
-    block = table.prob_block(hyp.tokens, (NULL,) + other.tokens)
-    return _alignment(_viterbi_rows(block.ravel(), np.full(len(block), block.shape[1])))
+    return _viterbi(table.prob_block(hyp.tokens, (NULL,) + other.tokens))
 
 
 def align_corpora(

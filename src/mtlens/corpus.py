@@ -9,7 +9,8 @@ ends, written whole by write_text(). Corpora hold one sentence per
 line. A run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
 Tokenization is whitespace splitting after Unicode NFC normalization;
 empty lines become zero-token sentences so line pairing across files
-is preserved.
+is preserved. ranges() packs whole sentences, or sentence pairs, into
+bounded blocks for the code that walks a corpus in pieces.
 """
 
 import contextlib
@@ -124,6 +125,23 @@ def check_lengths(first: Corpus, second: Corpus) -> None:
     """Raise a DataError unless the two corpora pair line for line."""
     if len(first) != len(second):
         raise DataError(f"corpus length mismatch: {len(first)} vs {len(second)}")
+
+
+def ranges(sizes, limit):
+    """Greedy (start, stop) ranges of whole items whose sizes sum to at most limit.
+
+    A range holds one item at least, so it exceeds limit only when that
+    item alone does. sizes may be any iterable; it is read once, in order.
+    """
+    start = stop = total = 0
+    for size in sizes:
+        if stop > start and total + size > limit:
+            yield start, stop
+            start, total = stop, 0
+        total += size
+        stop += 1
+    if stop > start:
+        yield start, stop
 
 
 def is_utf8(name: str) -> bool:

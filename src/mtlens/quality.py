@@ -12,11 +12,11 @@ one-pair case and raises that error. Each distinct corpus (by value)
 is counted once, and each corpus object is hashed once, then found by
 its id. Clipped matches, sum over n-grams of min(c_h, c_r), are
 integers and symmetric in the two sides, so a pair and its reverse
-share one count. The counts walk the sentences in blocks of
-at most BLOCK_TOKENS tokens over all the corpora, so memory does not
-grow with corpus length. The totals, sum over sentences of
-max(0, len - n + 1), come from the hypothesis lengths alone, once
-per distinct corpus.
+share one count. The counts walk the sentences in blocks of at most
+BLOCK_TOKENS tokens over all the corpora, packed by `corpus.ranges`,
+so memory does not grow with corpus length. The totals, sum over
+sentences of max(0, len - n + 1), come from the hypothesis lengths
+alone, once per distinct corpus.
 """
 
 import math
@@ -25,7 +25,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, ranges
 from .errors import DataError
 
 MAX_ORDER = 4
@@ -41,20 +41,6 @@ class BleuScore:
     brevity_penalty: float
     hyp_len: int
     ref_len: int
-
-
-def _blocks(corpora):
-    """(start, stop) sentence ranges of at most BLOCK_TOKENS tokens, one sentence at least."""
-    start = size = 0
-    for i, sents in enumerate(zip_longest(*corpora, fillvalue=())):
-        tokens = sum(map(len, sents))
-        if i > start and size + tokens > BLOCK_TOKENS:
-            yield start, i
-            start, size = i, 0
-        size += tokens
-    length = max(map(len, corpora))
-    if start < length:
-        yield start, length
 
 
 def _intern(tokens, lowercase: bool) -> np.ndarray:
@@ -106,7 +92,8 @@ def _clipped_matches(corpora, pairs, lowercase: bool = False) -> list[list[int]]
     matched = np.zeros((len(pairs), MAX_ORDER), dtype=np.int64)
     if not pairs:
         return matched.tolist()
-    for start, stop in _blocks(corpora):
+    tokens = (sum(map(len, sents)) for sents in zip_longest(*corpora, fillvalue=()))
+    for start, stop in ranges(tokens, BLOCK_TOKENS):
         for n, counted in enumerate(_block_counts(corpora, start, stop, lowercase)):
             for p, (h, r) in enumerate(pairs):
                 (h_keys, h_counts), (r_keys, r_counts) = counted[h], counted[r]

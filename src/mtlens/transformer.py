@@ -5,10 +5,12 @@ table, untied output projection. The sublayer tables ENCODER_LAYER and
 DECODER_LAYER list each layer's (sublayer, norm) pairs, each run as
 sublayer -> residual add -> LayerNorm ("self" is causal, "cross"
 attends to the encoder output); they name the weight arrays, and one
-routine, _layer, runs them. The forward pass runs one decoding step:
-given the source ids and a non-empty target prefix it returns
-next-token logits for the last prefix position and the per-sublayer
-caches that relevance propagation needs.
+routine, _layer, runs them. The forward pass runs the decoder over a
+whole non-empty target prefix at once, causally masked: it returns
+the last row's next-token logits and the per-sublayer caches, whose
+"logits" hold every row's. Relevance propagation runs it teacher-forced
+over the whole target, once per sentence pair unless a step fails, and
+reads each step's logits and activations from that cache.
 
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are

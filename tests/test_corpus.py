@@ -1,12 +1,16 @@
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlens.align import read_pharaoh
-from mtlens.corpus import Sentence, load_corpus, load_run, read_lines, save_corpus
+from mtlens.corpus import Sentence, load_corpus, load_run, ranges, read_lines, save_corpus
 from mtlens.errors import DataError
 from mtlens.semsim import load_embeddings
 from mtlens.transformer import load_model, load_vocab
+from ranges_oracle import _chunks
 
 from conftest import DATA_DIR, make_corpus
 
@@ -152,3 +156,24 @@ def test_load_run_missing_piece(tmp_path):
     write(tmp_path / "src.txt", "s\n")
     with pytest.raises(DataError, match="ref.txt"):
         load_run(tmp_path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 12), max_size=30), st.integers(0, 10))
+def test_ranges_equal_the_chunk_walker(sizes, limit):
+    # zero sizes, items over the limit, empty input and a limit of 0 all occur
+    with mock.patch("ranges_oracle.LINK_CHUNK", limit):
+        want = list(_chunks(sizes))
+    assert list(ranges(sizes, limit)) == want
+    assert list(ranges((size for size in sizes), limit)) == want
+    # the ranges tile the items in order, and only a lone item exceeds the limit
+    assert [i for start, stop in want for i in range(start, stop)] == list(range(len(sizes)))
+    for start, stop in want:
+        assert sum(sizes[start:stop]) <= limit or stop - start == 1
+
+
+def test_ranges_of_nothing():
+    assert list(ranges([], 5)) == []
+    assert list(ranges(iter(()), 0)) == []
+    assert list(ranges([0, 0, 0], 0)) == [(0, 3)]
+    assert list(ranges([9, 1, 1, 9], 2)) == [(0, 1), (1, 3), (3, 4)]
