@@ -2,7 +2,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtlens.align import read_pharaoh
@@ -160,20 +160,17 @@ def test_load_run_missing_piece(tmp_path):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(0, 12), max_size=30), st.integers(0, 10))
+@example([], 5)
+@example([0, 0, 0], 0)
+@example([9, 1, 1, 9], 2)
 def test_ranges_equal_the_chunk_walker(sizes, limit):
     # zero sizes, items over the limit, empty input and a limit of 0 all occur
     with mock.patch("ranges_oracle.LINK_CHUNK", limit):
         want = list(_chunks(sizes))
-    assert list(ranges(sizes, limit)) == want
+    got = list(ranges(sizes, limit))
+    assert got == want
     assert list(ranges((size for size in sizes), limit)) == want
     # the ranges tile the items in order, and only a lone item exceeds the limit
-    assert [i for start, stop in want for i in range(start, stop)] == list(range(len(sizes)))
-    for start, stop in want:
+    assert [i for start, stop in got for i in range(start, stop)] == list(range(len(sizes)))
+    for start, stop in got:
         assert sum(sizes[start:stop]) <= limit or stop - start == 1
-
-
-def test_ranges_of_nothing():
-    assert list(ranges([], 5)) == []
-    assert list(ranges(iter(()), 0)) == []
-    assert list(ranges([0, 0, 0], 0)) == [(0, 3)]
-    assert list(ranges([9, 1, 1, 9], 2)) == [(0, 1), (1, 3), (3, 4)]
