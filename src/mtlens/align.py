@@ -25,15 +25,22 @@ Memory: interning fills one int64 key per link, argsorts the keys and
 scatters the running count of distinct sorted keys back through the
 permutation, which is `np.unique`'s own algorithm at a peak of 24
 bytes per link. Across EM, three 8-byte arrays live per link (pair id,
-other-side id and expected count) and two per pair (key and t; three
-while the next t is built and normalised). An E-step chunk gathers its
-links' t into the count array, takes its rows' denominators with
-`np.bincount` over chunk-local row ids and divides in place, so no
-other array spans the bitext. The M-step is two `np.bincount` calls
-over the whole count array: the expected counts over the pair ids and
-the per-word totals over the other-side ids. On 2,000 pairs of 40
-tokens over 400-word vocabularies (3.28M links), training peaks at 26
-bytes per link under `tracemalloc`; whole-bitext temporaries took 58.
+other-side id and expected count) and two per pair (key and t). An
+E-step chunk gathers its links' t into the count array, takes its
+rows' denominators with `np.bincount` over chunk-local row ids and
+divides in place, so no other array spans the bitext. The M-step drops
+the old t, which the E-step read last, and makes two `np.bincount`
+calls over the whole count array: the expected counts over the pair
+ids, which become the new t, and the per-word totals over the
+other-side ids. It then divides t in place by each word's total, one
+`corpus.ranges` range of whole word runs (at most LINK_CHUNK pairs
+unless one word alone has more) at a time, so no normaliser spans the
+table. On 2,000 pairs of 40 tokens over 400-word vocabularies (3.28M
+links), training peaks at 26 bytes per link under `tracemalloc`;
+whole-bitext temporaries took 58. Where nearly every word pair is
+distinct (400 pairs of 20-40 tokens over 5,000-word vocabularies) the
+peak is 43 bytes per link; a second table and a table-long normaliser
+made it 49.
 
 The result is bit-identical to the plain nested-dict EM kept in
 `tests/model1_oracle.py` and to the whole-bitext arrays kept in
@@ -201,6 +208,11 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
     # keys sort by other word first, so each word's pairs are one run
     word_pairs = np.bincount(pair_keys // len(hyp_ids))
     link_o = np.repeat(np.arange(len(word_pairs)), word_pairs)[pair]
+    pair_at = np.concatenate(([0], np.cumsum(word_pairs))).tolist()
+    word_runs = [
+        (slice(pair_at[start], pair_at[stop]), slice(start, stop))
+        for start, stop in ranges(word_pairs.tolist(), LINK_CHUNK)
+    ]
 
     # uniform init over co-occurring pairs
     t = np.repeat(1.0 / word_pairs, word_pairs)
@@ -217,8 +229,11 @@ def train_model1(hyp: Corpus, other: Corpus, iterations: int = 10) -> Translatio
                 log_like += math.log(mean)
             chunk /= np.repeat(np.maximum(denom, PROB_FLOOR), lens)
         history.append(log_like)
+        del t  # the E-step was its last reader
         t = np.bincount(pair, weights=c, minlength=len(pair_keys))
-        t /= np.repeat(np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR), word_pairs)
+        total = np.maximum(np.bincount(link_o, weights=c), PROB_FLOOR)
+        for pairs, words in word_runs:
+            t[pairs] /= np.repeat(total[words], word_pairs[words])
     del c, link_o
 
     alignments = [frozenset()] * len(hyp)

@@ -214,10 +214,11 @@ def cmd_report(args) -> dict:
     )
     for note in notes:
         print(note, file=sys.stderr)
-    if args.csv:
-        report_mod.emit_csv(series, args.csv)
+    # the SVG first: it may refuse a checkpoint name, and then no file is written
     if args.svg:
         report_mod.emit_svg(series, args.svg)
+    if args.csv:
+        report_mod.emit_csv(series, args.csv)
     names = [s.metric_name for s in series]
     return {"csv": args.csv or None, "svg": args.svg or None, "series": names, "notes": notes}
 

@@ -8,9 +8,13 @@ fills all three relevance series. CSV rows are checkpoints, columns
 metrics, empty cells marking undefined points; csv_text() and
 format_value() also build the robust table. SVG output assembles one
 800x400 line chart per series, stacked vertically in a single file.
+Its labels escape &, < and > as xml.sax.saxutils.escape does, without
+importing it (that module loads urllib, http.client and ssl), and a
+checkpoint id holding a character XML 1.0 cannot carry is refused
+before anything is written.
 """
 
-from xml.sax.saxutils import escape
+import re
 
 from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
@@ -174,6 +178,15 @@ def emit_csv(series_list, path) -> None:
     write_text(path, csv_text(rows))
 
 
+# anything outside XML 1.0's Char production: C0 controls but tab/LF/CR, surrogates, U+FFFE/FFFF
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def escape(text: str) -> str:
+    """text with &, < and > as entities, as xml.sax.saxutils.escape(text) gives it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 CHART_W = 800
 CHART_H = 400
 MARGIN_L = 70
@@ -244,6 +257,13 @@ def emit_svg(series_list, path) -> None:
     """One line chart per series, stacked in a single SVG document."""
     if not series_list:
         raise DataError("no series to emit")
+    for point in (p for s in series_list for p in s.points):
+        bad = _NOT_XML_CHAR.search(point.checkpoint_id)
+        if bad:
+            raise DataError(
+                f"checkpoint name {point.checkpoint_id!r} holds U+{ord(bad.group()):04X}, "
+                "which an SVG (XML 1.0) cannot carry"
+            )
     total_h = CHART_H * len(series_list)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -188,11 +188,13 @@ def test_train_model1_memory_is_bounded_per_link_and_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 24 bytes per link to intern and through EM, 24 per pair (key, t and
-    # the next t or its normaliser) and a megabyte for the chunk
+    # 24 bytes per link to intern and through EM, 16 per pair (key and t:
+    # the old t is dropped before the next is built, which is normalised
+    # one range of word runs at a time) and a megabyte for the chunk
     # temporaries and the interned sentences; one more array spanning
-    # the bitext adds 8 bytes per link, 3 MB here
-    assert peak < 26 * links + 24 * len(table.pair_keys) + 2**20
+    # the bitext adds 8 bytes per link, 3 MB here, and one more spanning
+    # the table 8 bytes per pair, also 3 MB
+    assert peak < 26 * links + 16 * len(table.pair_keys) + 2**20
 
 
 # -- equality with the nested-dict EM in tests/model1_oracle.py ---------------

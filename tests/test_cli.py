@@ -601,6 +601,48 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
     assert "қаз,run," in runs[0].stdout.decode("utf-8")
 
 
+def test_importing_mtlens_loads_no_network_or_xml_modules():
+    # xml.sax.saxutils alone pulled in urllib.request, http.client, ssl,
+    # socket and email, about 7 MB of every process's resident memory
+    heavy = ("ssl", "socket", "http.client", "urllib.request", "email", "xml.sax")
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import mtlens\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "import mtlens.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    package, with_cli = map(json.loads, done.stdout.splitlines())
+    assert "mtlens.report" in package and "mtlens.cli" in with_cli
+    for loaded in (package, with_cli):
+        assert [m for m in loaded if m in heavy or m.startswith("xml.sax.")] == []
+
+
+def test_report_svg_refuses_a_checkpoint_name_xml_cannot_carry(tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(DATA_DIR / "run3", run)
+    os.rename(run / "checkpoints" / "000200", run / "checkpoints" / "ck\x01pt")
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    code, out, err = run_cli(
+        capsys, "report", str(run), "--metrics", "bleu", "--csv", str(csv_path),
+        "--svg", str(svg_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: checkpoint name 'ck\\x01pt' holds U+0001, which an SVG (XML 1.0) cannot carry\n"
+    assert not csv_path.exists() and not svg_path.exists()
+    # a CSV cell carries the name
+    code, _, err = run_cli(capsys, "report", str(run), "--metrics", "bleu", "--csv", str(csv_path))
+    assert (code, err) == (0, "")
+    assert "ck\x01pt," in csv_path.read_text(encoding="utf-8")
+
+
 def test_colliding_outputs_exit_before_writing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     emb = str(DATA_DIR / "emb3" / "ref.emb")

@@ -1,6 +1,9 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import model1_oracle
 import wordorder_oracle
@@ -280,6 +283,36 @@ def test_emit_svg_wellformed(tmp_path):
     polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
     assert len(polylines) == 2
     assert root.get("viewBox") == "0 0 800 800"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text())
+@example("a & b < c > d &amp; ]]> \"'")
+def test_escape_equals_saxutils(text):
+    assert report.escape(text) == sax_escape(text)
+
+
+def _xml_char(c):
+    """XML 1.0's Char production."""
+    return c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.text(min_size=1), min_size=1, max_size=3))
+@example(["ck\x01pt"])
+@example(["a<b", "c&d", "\ufffe"])
+def test_emit_svg_parses_or_refuses(tmp_path_factory, ids):
+    path = tmp_path_factory.mktemp("svg") / "out.svg"
+    series = MetricSeries("m", tuple(SeriesPoint(c, 1.0, 0) for c in ids))
+    if not all(map(_xml_char, "".join(ids))):
+        with pytest.raises(DataError, match="cannot carry"):
+            emit_svg([series], path)
+        assert not path.exists()
+        return
+    emit_svg([series], path)
+    labels = [e.text for e in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    # an XML parser reads CR and CRLF as LF
+    assert [c.replace("\r\n", "\n").replace("\r", "\n") for c in ids] == labels[3:3 + len(ids)]
 
 
 def test_emit_empty_rejected(tmp_path):
