@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, ranges, read_lines, write_text
+from .corpus import Corpus, Sentence, ranges, read_lines
 from .errors import DataError
 
 # conditioning-side NULL; None cannot collide with a real token string
@@ -264,21 +264,10 @@ def viterbi_align(table: TranslationTable, hyp: Sentence, other: Sentence) -> Al
     return _viterbi(table.prob_block(hyp.tokens, (NULL,) + other.tokens))
 
 
-def align_corpora(
-    hyp: Corpus, other: Corpus, iterations: int = 10
-) -> list[Alignment]:
-    """Train on the pair and return the Viterbi alignment of every sentence."""
-    return list(train_model1(hyp, other, iterations=iterations).alignments)
-
-
 def format_pharaoh(alignments) -> str:
     return "".join(
         " ".join(f"{i}-{j}" for i, j in sorted(aln)) + "\n" for aln in alignments
     )
-
-
-def write_pharaoh(alignments, path) -> None:
-    write_text(path, format_pharaoh(alignments))
 
 
 def read_pharaoh(path) -> list[Alignment]:

@@ -97,8 +97,8 @@ def cmd_frs(args) -> dict:
 def cmd_align(args) -> str:
     hyp = load_corpus(args.hyp)
     other = load_corpus(args.other)
-    alignments = align_mod.align_corpora(hyp, other, iterations=args.iters)
-    return align_mod.format_pharaoh(alignments)
+    table = align_mod.train_model1(hyp, other, iterations=args.iters)
+    return align_mod.format_pharaoh(table.alignments)
 
 
 _KINDS = {

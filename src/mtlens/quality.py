@@ -1,9 +1,7 @@
-"""Corpus- and sentence-level BLEU-4 (single reference).
+"""Corpus-level BLEU-4 (single reference).
 
-Corpus mode pools clipped n-gram counts over the whole corpus and is
-unsmoothed: any zero pooled precision gives score 0. Sentence mode
-adds one to numerator and denominator for n >= 2 so short identical
-pairs still score, leaving unigram precision untouched.
+Scores pool clipped n-gram counts over the whole corpus and are
+unsmoothed: any zero pooled precision gives score 0.
 
 corpus_bleus() is the one place corpora are checked and counted: it
 scores many (hyp, ref) pairs at once and returns, per pair, its
@@ -25,7 +23,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, ranges
+from .corpus import Corpus, ranges
 from .errors import DataError
 
 MAX_ORDER = 4
@@ -81,7 +79,7 @@ def _block_counts(corpora, start, stop, lowercase):
         ]
 
 
-def _clipped_matches(corpora, pairs, lowercase: bool = False) -> list[list[int]]:
+def _clipped_matches(corpora, pairs, lowercase: bool) -> list[list[int]]:
     """Sum of min(c_h, c_r) over n-grams, per (hyp, ref) pair and order n = 1..4.
 
     Each pair holds the indices of two corpora of one length and
@@ -196,31 +194,3 @@ def corpus_bleu(hyp: Corpus, ref: Corpus, lowercase: bool = False) -> BleuScore:
     if isinstance(score, DataError):
         raise score
     return score
-
-
-def sentence_bleu(hyp: Sentence, ref: Sentence) -> BleuScore:
-    """Lin-Och add-one smoothing for n >= 2; unigrams unsmoothed."""
-    if len(ref) == 0:
-        raise DataError("empty reference sentence")
-    (matched,) = _clipped_matches(((hyp,), (ref,)), [(0, 1)])
-    total = _ngram_totals((hyp,))
-    precisions = []
-    for n in range(MAX_ORDER):
-        if n == 0:
-            precisions.append(matched[0] / total[0] if total[0] > 0 else 0.0)
-        else:
-            precisions.append((matched[n] + 1) / (total[n] + 1))
-    bp = _brevity_penalty(len(hyp), len(ref))
-    if precisions[0] <= 0.0:
-        score = 0.0
-    else:
-        score = 100.0 * bp * math.exp(
-            math.fsum(math.log(p) for p in precisions) / MAX_ORDER
-        )
-    return BleuScore(
-        score=score,
-        precisions=tuple(precisions),
-        brevity_penalty=bp,
-        hyp_len=len(hyp),
-        ref_len=len(ref),
-    )

@@ -27,7 +27,7 @@ Embedding files are UTF-8 text read through corpus.read_lines: a
 decimals per vector, so vector i sits on line i + 2, and only blank
 lines after them. corpus.read_array parses the rows, as it does those
 of weight files; load errors name the file and that line. Embedding extraction itself happens upstream;
-this module only ingests (or mean-pools) vectors.
+this module only ingests vectors.
 """
 
 from dataclasses import dataclass
@@ -72,28 +72,6 @@ def _nonfinite_row(arr: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def cosine(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def pool_tokens(token_vectors) -> np.ndarray:
-    """Componentwise arithmetic mean of a non-empty vector list."""
-    arr = np.asarray(token_vectors, dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("cannot pool an empty vector list")
-    if arr.ndim != 2:
-        raise DataError("token vectors must share one dimension")
-    return arr.mean(axis=0)
-
-
 @dataclass(frozen=True)
 class RmssResult:
     per_sentence: tuple  # float per pair, None where the margin degenerated
@@ -120,6 +98,23 @@ def _top_k_sums(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     return sums, diag
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """A copy of v with each row scaled to unit length; raises on a zero row.
+
+    Each row is first scaled by the power of two that brings its largest
+    |component| into [0.5, 1). That is exact, and it puts the sum of
+    squares in the norm between 1/4 and the dimension, so at no finite
+    magnitude does it overflow or underflow to 0.
+    """
+    _, exp = np.frexp(np.maximum(v.max(axis=1), -v.min(axis=1)))
+    unit = np.ldexp(v, -exp[:, None])
+    norm = np.linalg.norm(unit, axis=1)
+    if np.any(norm == 0.0):
+        raise DataError("cosine undefined for a zero vector")
+    unit /= norm[:, None]
+    return unit
+
+
 def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
     if x_set.count != y_set.count:
         raise DataError(
@@ -131,14 +126,8 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
     if not 1 <= k <= n:
         raise DataError(f"k must be in [1, {n}], got {k}")
 
-    x = x_set.vectors
-    y = y_set.vectors
-    x_norm = np.linalg.norm(x, axis=1)
-    y_norm = np.linalg.norm(y, axis=1)
-    if np.any(x_norm == 0.0) or np.any(y_norm == 0.0):
-        raise DataError("cosine undefined for a zero vector")
-    xn = x / x_norm[:, None]
-    yn = y / y_norm[:, None]
+    xn = _unit_rows(x_set.vectors)
+    yn = _unit_rows(y_set.vectors)
     x_top, paired = _top_k_sums(xn, yn, k)  # paired[i] = cos(x_i, y_i)
     y_top, _ = _top_k_sums(yn, xn, k)
     denom = x_top / (2.0 * k) + y_top / (2.0 * k)

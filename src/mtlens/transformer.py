@@ -338,26 +338,28 @@ def forward(model: TransformerModel, src_ids, tgt_prefix_ids):
             if not 0 <= t < model.vocab_size:
                 raise DataError(f"token id {t} out of range [0,{model.vocab_size})")
 
-    emb = model.weights["embedding"]
-    enc_out = emb[src_ids] + sinusoidal_positions(len(src_ids), model.dim)
-    enc_layers = []
-    for i in range(model.layers):
-        enc_out, cache = _layer(model, f"enc{i}", ENCODER_LAYER, enc_out)
-        enc_layers.append(cache)
-    if not np.all(np.isfinite(enc_out)):
-        raise NumericError("non-finite activation in encoder")
+    # every stage below is checked for non-finite values, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        emb = model.weights["embedding"]
+        enc_out = emb[src_ids] + sinusoidal_positions(len(src_ids), model.dim)
+        enc_layers = []
+        for i in range(model.layers):
+            enc_out, cache = _layer(model, f"enc{i}", ENCODER_LAYER, enc_out)
+            enc_layers.append(cache)
+        if not np.all(np.isfinite(enc_out)):
+            raise NumericError("non-finite activation in encoder")
 
-    dec_out = emb[tgt_prefix_ids] + sinusoidal_positions(len(tgt_prefix_ids), model.dim)
-    dec_layers = []
-    for i in range(model.layers):
-        dec_out, cache = _layer(model, f"dec{i}", DECODER_LAYER, dec_out, enc_out)
-        dec_layers.append(cache)
-    if not np.all(np.isfinite(dec_out)):
-        raise NumericError("non-finite activation in decoder")
+        dec_out = emb[tgt_prefix_ids] + sinusoidal_positions(len(tgt_prefix_ids), model.dim)
+        dec_layers = []
+        for i in range(model.layers):
+            dec_out, cache = _layer(model, f"dec{i}", DECODER_LAYER, dec_out, enc_out)
+            dec_layers.append(cache)
+        if not np.all(np.isfinite(dec_out)):
+            raise NumericError("non-finite activation in decoder")
 
-    logits = dec_out @ model.weights["out_w"] + model.weights["out_b"]
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits in forward pass")
+        logits = dec_out @ model.weights["out_w"] + model.weights["out_b"]
+        if not np.all(np.isfinite(logits)):
+            raise NumericError("non-finite logits in forward pass")
 
     cache = {
         "enc_layers": enc_layers,

@@ -3,12 +3,11 @@
 This is the counting `mtlens.quality` shipped before it moved to array
 n-gram ids in sentence blocks: for every sentence pair and every order
 it builds both sides' n-gram Counters and adds min(c_h, c_r) over the
-hypothesis n-grams. The float steps (brevity penalty, geometric mean,
-add-one smoothing) are the production ones, so the two must give equal
-BleuScores, compared with ==.
+hypothesis n-grams. The float steps (brevity penalty, geometric mean)
+are the production ones, so the two must give equal BleuScores,
+compared with ==.
 """
 
-import math
 from collections import Counter
 
 from mtlens.errors import DataError
@@ -58,32 +57,4 @@ def corpus_bleu(hyp, ref, lowercase: bool = False) -> BleuScore:
         brevity_penalty=bp,
         hyp_len=hyp_len,
         ref_len=ref_len,
-    )
-
-
-def sentence_bleu(hyp, ref) -> BleuScore:
-    if len(ref) == 0:
-        raise DataError("empty reference sentence")
-    matched = [0] * MAX_ORDER
-    total = [0] * MAX_ORDER
-    _pair_stats(list(hyp.tokens), list(ref.tokens), matched, total)
-    precisions = []
-    for n in range(MAX_ORDER):
-        if n == 0:
-            precisions.append(matched[0] / total[0] if total[0] > 0 else 0.0)
-        else:
-            precisions.append((matched[n] + 1) / (total[n] + 1))
-    bp = _brevity_penalty(len(hyp), len(ref))
-    if precisions[0] <= 0.0:
-        score = 0.0
-    else:
-        score = 100.0 * bp * math.exp(
-            math.fsum(math.log(p) for p in precisions) / MAX_ORDER
-        )
-    return BleuScore(
-        score=score,
-        precisions=tuple(precisions),
-        brevity_penalty=bp,
-        hyp_len=len(hyp),
-        ref_len=len(ref),
     )

@@ -108,6 +108,11 @@ MISSPELLED = "{DATA}/misspelled"
 CASED = "{DATA}/cased"
 # run3's first five sentences: a perturbed run too short to pair with run3
 SHORT = "{DATA}/short"
+# runs laid out wrong: no checkpoints/, a file beside the checkpoint
+# directories, a checkpoint directory without hyp.txt
+LAYOUTS = "{DATA}/layouts"
+# embedding and weight files whose headers or arrays a loader refuses
+MALFORMED = "{DATA}/malformed"
 MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
 SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
 
@@ -221,6 +226,18 @@ GOLDEN_CLI = (
           "--per-sentence"], False),
         (["align", HOLES, MISSPELLED + "/checkpoints/000100/hyp.txt", "--iters", "1"], False),
         (["align", COMMA + "/ref.txt", COMMA + "/src.txt", "--iters", "2"], False),
+        (["report", LAYOUTS + "/no_checkpoints", "--metrics", "bleu"], False),
+        (["report", LAYOUTS + "/stray", "--metrics", "bleu", "--csv", "{OUT}/stray.csv"], False),
+        (["report", LAYOUTS + "/no_hyp", "--metrics", "bleu"], False),
+        (["rmss", MALFORMED + "/zero_dim.emb", "{DATA}/emb3/ref.emb"], False),
+        (["rmss", "{DATA}/emb3/ref.emb", MALFORMED + "/negative_count.emb"], False),
+        (["lrp", "--model", MALFORMED + "/no_heads.wts", "--vocab", "{DATA}/vocab.txt",
+          SRC, REF], False),
+        (["lrp", "--model", MALFORMED + "/extra_array.wts", "--vocab", "{DATA}/vocab.txt",
+          SRC, REF], False),
+        (["lrp", "--model", MALFORMED + "/odd_dim.wts", "--vocab", "{DATA}/vocab.txt",
+          SRC, REF], False),
+        (["align", SHORT + "/ref.txt", REF], False),
     ]
 )
 
@@ -293,6 +310,24 @@ def main():
     write_lines(comma / "src.txt", src_lines[:2])
     write_lines(comma / "ref.txt", ref_lines[:2])
     write_lines(comma / "checkpoints" / "a,b" / "hyp.txt", ref_lines[:2])
+
+    layouts = DATA / "layouts"
+    for name in ("no_checkpoints", "stray", "no_hyp"):
+        write_lines(layouts / name / "src.txt", src_lines[:2])
+        write_lines(layouts / name / "ref.txt", ref_lines[:2])
+    write_lines(layouts / "stray" / "checkpoints" / "000100" / "hyp.txt", ref_lines[:2])
+    write_lines(layouts / "stray" / "checkpoints" / "notes.txt", ["not a checkpoint"])
+    write_lines(layouts / "no_hyp" / "checkpoints" / "000100" / "train.log", ["step 100"])
+
+    malformed = DATA / "malformed"
+    write_lines(malformed / "zero_dim.emb", ["3 0"])
+    write_lines(malformed / "negative_count.emb", ["-1 4"])
+    header = ["mtlens-weights 1", "layers 1", "heads 1", "dim 4", "ffn 8", "vocab 4"]
+    write_lines(malformed / "no_heads.wts", [line for line in header if line != "heads 1"])
+    write_lines(malformed / "odd_dim.wts", [line.replace("dim 4", "dim 3") for line in header])
+    extra = malformed / "extra_array.wts"
+    save_model(init_model(layers=1, heads=1, dim=4, ffn=8, vocab_size=4, seed=1), extra)
+    write_text(extra, extra.read_text(encoding="utf-8") + "array extra 2\n0 0\n")
 
     for name, keep, kind in (
         ("misspelled", len(src_lines), PerturbationKind.MISSPELLING),

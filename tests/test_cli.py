@@ -12,7 +12,7 @@ import pytest
 from mtlens.cli import main
 from mtlens.corpus import load_run
 from mtlens.report import RELEVANCE_METRICS, collect
-from mtlens.transformer import load_model, load_vocab
+from mtlens.transformer import load_model, load_vocab, save_model
 
 from conftest import DATA_DIR
 
@@ -217,11 +217,7 @@ def test_format_text_headline(tmp_path, capsys):
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
-    import warnings
-
-    import numpy as np
-
-    from mtlens.transformer import init_model, save_model
+    from mtlens.transformer import init_model
 
     m = init_model(layers=1, heads=1, dim=4, ffn=8, vocab_size=8, seed=0)
     m.weights["embedding"] = m.weights["embedding"] * 1e200  # overflow bait
@@ -233,14 +229,30 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     tgt = tmp_path / "t.txt"
     write(src, "ka\n")
     write(tgt, "ra\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, err = run_cli(
-            capsys, "lrp", "--model", str(wts), "--vocab", str(vocab),
-            str(src), str(tgt),
-        )
+    code, out, err = run_cli(
+        capsys, "lrp", "--model", str(wts), "--vocab", str(vocab),
+        str(src), str(tgt),
+    )
     assert code == 3
     assert "non-finite" in err
+
+
+def test_numeric_failure_prints_one_line_and_no_warning(tmp_path):
+    # every weight is finite, but each logit sums products of 1e308
+    model = load_model(DATA_DIR / "fixture.wts")
+    model.weights["out_w"][:] = 1e308
+    wts = tmp_path / "hot.wts"
+    save_model(model, wts)
+    run = DATA_DIR / "run3"
+    argv = ["lrp", "--model", str(wts), "--vocab", str(DATA_DIR / "vocab.txt"),
+            str(run / "src.txt"), str(run / "ref.txt")]
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from mtlens.cli import entry; entry()", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: step 1: non-finite logits in forward pass\n"
 
 
 def test_numeric_failure_names_the_oracles_step(tmp_path, capsys):

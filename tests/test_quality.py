@@ -10,10 +10,10 @@ import bleu_oracle
 from mtlens import quality
 from mtlens.corpus import Sentence
 from mtlens.errors import DataError
-from mtlens.quality import corpus_bleu, sentence_bleu
+from mtlens.quality import corpus_bleu
 from mtlens.rng import SplitMix64
 
-from conftest import make_corpus, make_sentence, outcome
+from conftest import make_corpus, outcome
 
 
 def oracle_corpus_bleu(hyp_lines, ref_lines):
@@ -141,33 +141,6 @@ def test_score_bounds():
         assert 0.0 <= s <= 100.0
 
 
-# sentence-level smoothing
-
-
-def test_sentence_identity_long():
-    s = make_sentence("a b c d e")
-    assert sentence_bleu(s, s).score == pytest.approx(100.0)
-
-
-def test_sentence_short_identity_smoothed():
-    # p3, p4 have zero denominators; add-one lifts them to 1
-    s = make_sentence("a b")
-    score = sentence_bleu(s, s)
-    assert score.precisions == (1.0, 1.0, 1.0, 1.0)
-    assert score.score == pytest.approx(100.0)
-
-
-def test_sentence_unigram_not_smoothed():
-    score = sentence_bleu(make_sentence("x y"), make_sentence("a b"))
-    assert score.precisions[0] == 0.0
-    assert score.score == 0.0
-
-
-def test_sentence_empty_reference():
-    with pytest.raises(DataError):
-        sentence_bleu(make_sentence("a"), make_sentence(""))
-
-
 # -- the block counts against the Counter oracle --------------------------------
 
 # cased pairs whose lowercase forms meet: İ -> i + U+0307, ẞ -> ß, Σ -> σ
@@ -195,12 +168,10 @@ def corpus_pairs(draw):
 def test_block_counts_match_counter_oracle(case, lowercase):
     hyp, ref = case
     want = outcome(bleu_oracle.corpus_bleu, hyp, ref, lowercase)
-    want_sentences = [outcome(bleu_oracle.sentence_bleu, h, r) for h, r in zip(hyp, ref)]
     # one-token blocks, 7-token blocks that some sentence pairs overflow, one block
     for block in (1, 7, 1 << 20):
         with mock.patch.object(quality, "BLOCK_TOKENS", block):
             assert outcome(corpus_bleu, hyp, ref, lowercase) == want
-            assert [outcome(sentence_bleu, h, r) for h, r in zip(hyp, ref)] == want_sentences
 
 
 @st.composite

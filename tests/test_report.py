@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import model1_oracle
 import wordorder_oracle
 from mtlens import quality, report
-from mtlens.align import TranslationTable, align_corpora
+from mtlens.align import TranslationTable, train_model1
 from mtlens.corpus import AnalysisRun, CheckpointRun, load_run
 from mtlens.errors import DataError, NumericError
 from mtlens.quality import corpus_bleu
@@ -197,7 +197,7 @@ def test_collect_frs_looks_up_no_table_probabilities(monkeypatch):
     series, notes = collect(run, ["frs-vs-ref"], iterations=5)
     assert notes == []
     assert series == [want_series]
-    assert align_corpora(hyp, run.reference, iterations=5) == want_links
+    assert list(train_model1(hyp, run.reference, iterations=5).alignments) == want_links
 
 
 def test_collect_lrp_metrics_present():

@@ -13,10 +13,8 @@ from mtlens.errors import DataError
 from mtlens.rng import SplitMix64
 from mtlens.semsim import (
     EmbeddingSet,
-    cosine,
     embedding_set,
     load_embeddings,
-    pool_tokens,
     rmss,
     save_embeddings,
 )
@@ -45,45 +43,6 @@ def oracle_rmss(x_rows, y_rows, k):
         denom += sum(oracle_cos(y_rows[i], x_rows[j]) for j in y_neighbors) / (2 * k)
         out.append(None if denom <= 0 else num / denom)
     return out
-
-
-def test_cosine_parallel():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_45_degrees():
-    assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1.0 / math.sqrt(2.0))
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(DataError):
-        cosine([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(DataError):
-        cosine([1.0], [1.0, 0.0])
-
-
-def test_pool_singleton():
-    assert pool_tokens([[2.0, 0.0]]).tolist() == [2.0, 0.0]
-
-
-def test_pool_midpoint():
-    assert pool_tokens([[1.0, 0.0], [0.0, 1.0]]).tolist() == [0.5, 0.5]
-
-
-def test_pool_column_means():
-    assert pool_tokens([[1, 2], [3, 4], [5, 6]]).tolist() == [3.0, 4.0]
-
-
-def test_pool_empty_rejected():
-    with pytest.raises(DataError):
-        pool_tokens([])
 
 
 def test_rmss_self_pair_identity_k1():
@@ -142,10 +101,20 @@ def test_rmss_scale_invariance():
     rows = [[rng.random() + 0.05 for _ in range(4)] for _ in range(5)]
     other = [[rng.random() + 0.05 for _ in range(4)] for _ in range(5)]
     base = rmss(embedding_set(rows), embedding_set(other), 2)
-    scaled = [list(np.array(r) * (100.0 if i == 2 else 1.0)) for i, r in enumerate(rows)]
-    res = rmss(embedding_set(scaled), embedding_set(other), 2)
-    for a, b in zip(base.per_sentence, res.per_sentence):
-        assert a == pytest.approx(b, abs=1e-12)
+    # squares of the powers of two overflow or underflow to 0
+    for factor in (100.0, 2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000):
+        scaled = [list(np.array(r) * (factor if i == 2 else 1.0)) for i, r in enumerate(rows)]
+        res = rmss(embedding_set(scaled), embedding_set(other), 2)
+        for a, b in zip(base.per_sentence, res.per_sentence):
+            assert a == pytest.approx(b, abs=1e-12), factor
+
+
+def test_rmss_zero_row_rejected():
+    rows = embedding_set([[1.0, 0.0], [0.5, 0.5]])
+    with_zero = embedding_set([[1.0, 0.0], [0.0, 0.0]])
+    for x_set, y_set in ((with_zero, rows), (rows, with_zero)):
+        with pytest.raises(DataError, match="^cosine undefined for a zero vector$"):
+            rmss(x_set, y_set, 1)
 
 
 def test_rmss_k_out_of_range():
