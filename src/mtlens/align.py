@@ -36,11 +36,9 @@ other-side ids. It then divides t in place by each word's total, one
 `corpus.ranges` range of whole word runs (at most LINK_CHUNK pairs
 unless one word alone has more) at a time, so no normaliser spans the
 table. On 2,000 pairs of 40 tokens over 400-word vocabularies (3.28M
-links), training peaks at 26 bytes per link under `tracemalloc`;
-whole-bitext temporaries took 58. Where nearly every word pair is
-distinct (400 pairs of 20-40 tokens over 5,000-word vocabularies) the
-peak is 43 bytes per link; a second table and a table-long normaliser
-made it 49.
+links), training peaks at 26 bytes per link under `tracemalloc`.
+Where nearly every word pair is distinct (400 pairs of 20-40 tokens
+over 5,000-word vocabularies) the peak is 43 bytes per link.
 
 The result is bit-identical to the plain nested-dict EM kept in
 `tests/model1_oracle.py` and to the whole-bitext arrays kept in

@@ -12,9 +12,9 @@ its id. Clipped matches, sum over n-grams of min(c_h, c_r), are
 integers and symmetric in the two sides, so a pair and its reverse
 share one count. The counts walk the sentences in blocks of at most
 BLOCK_TOKENS tokens over all the corpora, packed by `corpus.ranges`,
-so memory does not grow with corpus length. The totals, sum over
-sentences of max(0, len - n + 1), come from the hypothesis lengths
-alone, once per distinct corpus.
+so memory does not grow with corpus length. The same block count
+gives each distinct corpus's n-gram totals, sum over sentences of
+max(0, len - n + 1), as the sum of its counts.
 """
 
 import math
@@ -79,35 +79,28 @@ def _block_counts(corpora, start, stop, lowercase):
         ]
 
 
-def _clipped_matches(corpora, pairs, lowercase: bool) -> list[list[int]]:
-    """Sum of min(c_h, c_r) over n-grams, per (hyp, ref) pair and order n = 1..4.
+def _clipped_matches(corpora, pairs, lowercase: bool):
+    """Clipped matches per (hyp, ref) pair and n-gram totals per corpus, for n = 1..4.
 
     Each pair holds the indices of two corpora of one length and
     compares their sentences line by line; other pairs may compare
-    corpora of another length. Each corpus is counted once, however
-    many pairs it is in.
+    corpora of another length. A pair's matches sum min(c_h, c_r) over
+    n-grams, and a corpus's totals sum its own counts. Each corpus is
+    counted once, however many pairs it is in.
     """
     matched = np.zeros((len(pairs), MAX_ORDER), dtype=np.int64)
-    if not pairs:
-        return matched.tolist()
+    totals = np.zeros((len(corpora), MAX_ORDER), dtype=np.int64)
     tokens = (sum(map(len, sents)) for sents in zip_longest(*corpora, fillvalue=()))
     for start, stop in ranges(tokens, BLOCK_TOKENS):
         for n, counted in enumerate(_block_counts(corpora, start, stop, lowercase)):
+            totals[:, n] += [counts.sum() for _, counts in counted]
             for p, (h, r) in enumerate(pairs):
                 (h_keys, h_counts), (r_keys, r_counts) = counted[h], counted[r]
                 _, ih, ir = np.intersect1d(
                     h_keys, r_keys, assume_unique=True, return_indices=True
                 )
                 matched[p, n] += np.minimum(h_counts[ih], r_counts[ir]).sum()
-    return matched.tolist()
-
-
-def _ngram_totals(corpus: Corpus) -> list[int]:
-    """Sum over sentences of max(0, len - n + 1), for n = 1..4."""
-    return [
-        sum(max(0, len(s.tokens) - n + 1) for s in corpus)
-        for n in range(1, MAX_ORDER + 1)
-    ]
+    return matched.tolist(), totals.tolist()
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -180,8 +173,8 @@ def corpus_bleus(pairs, lowercase: bool = False) -> list[BleuScore | DataError]:
         at.append(error or (lookup(hyp), lookup(ref)))
     corpora = list(index)
     counted = list(dict.fromkeys(tuple(sorted(hr)) for hr in at if isinstance(hr, tuple)))
-    matched = dict(zip(counted, _clipped_matches(corpora, counted, lowercase)))
-    totals = [_ngram_totals(corpus) for corpus in corpora]
+    matches, totals = _clipped_matches(corpora, counted, lowercase)
+    matched = dict(zip(counted, matches))
     return [
         hr if isinstance(hr, DataError)
         else _bleu_from_matches(matched[tuple(sorted(hr))], totals[hr[0]], totals[hr[1]][0])

@@ -15,14 +15,15 @@ reads each step's logits and activations from that cache.
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
 self-describing: a header with the configuration, then named arrays
-with explicit shapes. A 1-D array is one row and an N-D array
+with explicit shapes; an unknown header key, or a key or array name
+given twice, is refused. A 1-D array is one row and an N-D array
 shape[0] rows of prod(shape[1:]) values, parsed by corpus.read_array
 as embedding rows are. Vocab files hold one token per line, the line
 number being the id; ids 0..3 are reserved for BOS, EOS, UNK and PAD.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +47,16 @@ LN_EPS = 1e-5
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]
-    index: dict = field(repr=False, default_factory=dict)
 
-    @staticmethod
-    def from_tokens(tokens) -> "Vocab":
-        tokens = tuple(tokens)
+    def __post_init__(self):
+        tokens = tuple(self.tokens)
         if len(tokens) < len(RESERVED):
             raise DataError("vocab needs at least the 4 reserved entries")
-        index = {}
+        index = {}  # a repeated token keeps its first id
         for i, tok in enumerate(tokens):
             index.setdefault(tok, i)
-        return Vocab(tokens=tokens, index=index)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -75,13 +75,13 @@ def build_vocab(corpora, limit: int = 512) -> Vocab:
         for sent in corpus:
             seen.update(sent.tokens)
     words = sorted(seen)[: max(0, limit - len(RESERVED))]
-    return Vocab.from_tokens(RESERVED + tuple(words))
+    return Vocab(RESERVED + tuple(words))
 
 
 def load_vocab(path) -> Vocab:
     tokens = [line for _, line in read_lines(path)]
     try:
-        return Vocab.from_tokens(tokens)
+        return Vocab(tokens)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -209,12 +209,19 @@ def load_model(path) -> TransformerModel:
             continue
         try:
             if parts[0] == "array" and len(parts) > 2:
+                if parts[1] in weights:
+                    raise DataError(f"{path}: line {lineno}: repeated array {parts[1]!r}")
                 shape = tuple(int(d) for d in parts[2:])
                 nrows = 1 if len(shape) == 1 else shape[0]
                 arr = read_array(path, lines, nrows, math.prod(shape[1:] or shape))
                 weights[parts[1]] = arr.reshape(shape)
             elif len(parts) == 2:
-                config[parts[0]] = int(parts[1])
+                value = int(parts[1])
+                if parts[0] not in ("layers", "heads", "dim", "ffn", "vocab"):
+                    raise DataError(f"{path}: line {lineno}: unknown header key {parts[0]!r}")
+                if parts[0] in config:
+                    raise DataError(f"{path}: line {lineno}: repeated header key {parts[0]!r}")
+                config[parts[0]] = value
             else:
                 raise DataError(f"{path}: line {lineno}: unparseable line {line!r}")
         except ValueError as exc:

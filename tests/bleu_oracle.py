@@ -6,12 +6,24 @@ it builds both sides' n-gram Counters and adds min(c_h, c_r) over the
 hypothesis n-grams. The float steps (brevity penalty, geometric mean)
 are the production ones, so the two must give equal BleuScores,
 compared with ==.
+
+_ngram_totals is how `mtlens.quality` took each corpus's n-gram totals
+before they came from its block count: one more walk over the corpus.
 """
 
 from collections import Counter
 
+from mtlens.corpus import Corpus
 from mtlens.errors import DataError
 from mtlens.quality import MAX_ORDER, BleuScore, _brevity_penalty, _corpus_score
+
+
+def _ngram_totals(corpus: Corpus) -> list[int]:
+    """Sum over sentences of max(0, len - n + 1), for n = 1..4."""
+    return [
+        sum(max(0, len(s.tokens) - n + 1) for s in corpus)
+        for n in range(1, MAX_ORDER + 1)
+    ]
 
 
 def _ngrams(tokens, n: int) -> Counter:

@@ -113,6 +113,10 @@ SHORT = "{DATA}/short"
 LAYOUTS = "{DATA}/layouts"
 # embedding and weight files whose headers or arrays a loader refuses
 MALFORMED = "{DATA}/malformed"
+# emb3 without checkpoint 000300's hyp.emb
+EMB_PARTIAL = "{DATA}/emb_partial"
+# a small model for vocab.txt with blank lines in its header and between its arrays
+SPACED = "{DATA}/spaced.wts"
 MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
 SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
 
@@ -238,6 +242,10 @@ GOLDEN_CLI = (
         (["lrp", "--model", MALFORMED + "/odd_dim.wts", "--vocab", "{DATA}/vocab.txt",
           SRC, REF], False),
         (["align", SHORT + "/ref.txt", REF], False),
+        (["report", RUN, "--embeddings", EMB_PARTIAL, "--metrics", "bleu,rmss-vs-ref",
+          "--k", "2", "--csv", "{OUT}/emb_partial.csv"], False),
+        (["lrp", "--model", SPACED, "--vocab", "{DATA}/vocab.txt",
+          COMMA + "/src.txt", COMMA + "/ref.txt"], True),
     ]
 )
 
@@ -353,10 +361,20 @@ def main():
         d.mkdir(parents=True, exist_ok=True)
         save_embeddings(corpus_embeddings(lines, f"hyp@{ckpt_id}"), d / "hyp.emb")
 
+    partial = DATA / "emb_partial"
+    for rel in ("ref.emb", "src.emb", "checkpoints/000100/hyp.emb", "checkpoints/000200/hyp.emb"):
+        (partial / rel).parent.mkdir(parents=True, exist_ok=True)
+        (partial / rel).write_bytes((emb / rel).read_bytes())
+
     src_corpus = load_corpus(run / "src.txt")
     ref_corpus = load_corpus(run / "ref.txt")
     vocab = build_vocab([src_corpus, ref_corpus])
     save_vocab(vocab, DATA / "vocab.txt")
+
+    spaced = DATA / "spaced.wts"
+    save_model(init_model(layers=1, heads=1, dim=4, ffn=4, vocab_size=len(vocab), seed=3), spaced)
+    text = spaced.read_text(encoding="utf-8")
+    write_text(spaced, text.replace("\nheads", "\n\nheads").replace("\narray", "\n \t\narray"))
 
     model = init_model(
         layers=2, heads=2, dim=16, ffn=32, vocab_size=len(vocab), seed=2024

@@ -7,7 +7,7 @@ array in one block with np.loadtxt, with the error texts of
 accepts `1_0`, non-ASCII digits and any Unicode whitespace between
 values, and every error names its line, so the production loaders
 must give the same array bits, or the same DataError text, as these
-on any input.
+on any input. Both refuse the same header keys and repeated names.
 """
 
 import math
@@ -33,6 +33,8 @@ def load_model(path) -> TransformerModel:
         try:
             if parts[0] == "array" and len(parts) > 2:
                 name = parts[1]
+                if name in weights:
+                    raise DataError(f"{path}: line {lineno}: repeated array {name!r}")
                 shape = tuple(int(d) for d in parts[2:])
                 nrows = 1 if len(shape) == 1 else shape[0]
                 ncols = math.prod(shape[1:] or shape)
@@ -54,7 +56,12 @@ def load_model(path) -> TransformerModel:
                     rows.append(values)
                 weights[name] = np.array(rows, dtype=np.float64).reshape(shape)
             elif len(parts) == 2:
-                config[parts[0]] = int(parts[1])
+                value = int(parts[1])
+                if parts[0] not in ("layers", "heads", "dim", "ffn", "vocab"):
+                    raise DataError(f"{path}: line {lineno}: unknown header key {parts[0]!r}")
+                if parts[0] in config:
+                    raise DataError(f"{path}: line {lineno}: repeated header key {parts[0]!r}")
+                config[parts[0]] = value
             else:
                 raise DataError(f"{path}: line {lineno}: unparseable line {line!r}")
         except ValueError as exc:

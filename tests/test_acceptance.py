@@ -311,7 +311,7 @@ def test_criterion_6_rmss():
 
 def test_criterion_7_lrp_conservation():
     words = tuple(f"w{i}" for i in range(20))
-    vocab = Vocab.from_tokens(RESERVED + words)
+    vocab = Vocab(RESERVED + words)
     rng = SplitMix64(70707)
     ok = True
     for trial in range(100):

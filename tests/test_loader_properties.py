@@ -156,6 +156,28 @@ def test_cli_report_exit_code_contract(data):
     assert "Traceback" not in err
 
 
+# lines appended to fixture.wts that the loader cannot place, and the reason
+# the one error line gives for the first of them, line 763
+WEIGHT_EDITS = {
+    "repeated array": (
+        "array dec0_cross_bk 16\n" + "1 " * 15 + "1\n", "repeated array 'dec0_cross_bk'"
+    ),
+    "repeated header key": ("heads 2\n", "repeated header key 'heads'"),
+    "unknown header key": ("colour 3\n", "unknown header key 'colour'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_EDITS))
+def test_cli_refuses_weights_the_loader_cannot_place(case, tmp_path):
+    appended, reason = WEIGHT_EDITS[case]
+    model, one = tmp_path / "model.wts", tmp_path / "one.txt"
+    model.write_bytes((DATA_DIR / "fixture.wts").read_bytes() + appended.encode("utf-8"))
+    one.write_text("ka re mi\n", encoding="utf-8")
+    code, err = run_main([str(model if a == "BAD" else one if a == "ONE" else a)
+                          for a in CLI_CASES["model"]])
+    assert (code, err) == (2, f"error: {model}: line 763: {reason}\n")
+
+
 # argv with BAD for a copy of run3 whose checkpoint 000100 is named b"\xff100",
 # BAD_KIND for a copy of run3 named b"\xff", and OUT for an output file
 NON_UTF8_CASES = {

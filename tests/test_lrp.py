@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lrp_oracle
 from mtlens import lrp
-from mtlens.errors import DataError
+from mtlens.errors import DataError, NumericError
 from mtlens.lrp import (
     contribution_stats,
     contributions,
@@ -23,7 +23,7 @@ from mtlens.transformer import RESERVED, Vocab, forward, init_model, load_model,
 from conftest import DATA_DIR, make_sentence
 
 WORDS = tuple(f"w{i}" for i in range(20))
-VOCAB = Vocab.from_tokens(RESERVED + WORDS)
+VOCAB = Vocab(RESERVED + WORDS)
 
 
 def toy_model(seed=0, layers=2, heads=2, dim=16, ffn=32):
@@ -127,6 +127,19 @@ def test_empty_sentences_rejected():
         contributions(m, make_sentence(""), make_sentence("w1"), VOCAB)
     with pytest.raises(DataError):
         contributions(m, make_sentence("w1"), make_sentence(""), VOCAB)
+
+
+def test_degenerate_relevance_names_its_step():
+    layer_relevance = lrp._layer_relevance
+
+    def zero_relevance(*args):
+        rel, rel_memory = layer_relevance(*args)
+        return rel * 0.0, None if rel_memory is None else rel_memory * 0.0
+
+    src, tgt = make_sentence("w1 w2"), make_sentence("w3 w4")
+    with mock.patch.object(lrp, "_layer_relevance", zero_relevance):
+        with pytest.raises(NumericError, match="^step 1: degenerate relevance"):
+            contributions(toy_model(seed=3), src, tgt, VOCAB)
 
 
 def test_entropy_uniform_and_point_mass():

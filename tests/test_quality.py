@@ -212,7 +212,10 @@ def test_corpus_bleus_matches_oracle_pair_by_pair(pairs, lowercase):
 
         def counting(corpora, counted, lowercase):
             calls.append((len(corpora), len(counted)))
-            return count(corpora, counted, lowercase)
+            matches, totals = count(corpora, counted, lowercase)
+            # each counted corpus's totals, from the block count
+            assert totals == [bleu_oracle._ngram_totals(c) for c in corpora]
+            return matches, totals
 
         with mock.patch.multiple(quality, BLOCK_TOKENS=block, _clipped_matches=counting):
             got = quality.corpus_bleus(pairs, lowercase)

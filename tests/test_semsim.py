@@ -117,6 +117,20 @@ def test_rmss_zero_row_rejected():
             rmss(x_set, y_set, 1)
 
 
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([1.0, 0.0], r"^embeddings must be 2-D, got shape \(2,\)$"),
+        ([[[1.0]]], r"^embeddings must be 2-D, got shape \(1, 1, 1\)$"),
+        ([[1.0, 0.0], [0.0, math.nan]], "^non-finite embedding component at row 1$"),
+        ([[-math.inf, 0.0]], "^non-finite embedding component at row 0$"),
+    ],
+)
+def test_embedding_set_refuses(vectors, message):
+    with pytest.raises(DataError, match=message):
+        embedding_set(vectors)
+
+
 def test_rmss_k_out_of_range():
     xs = embedding_set([[1.0, 0.0]])
     with pytest.raises(DataError):

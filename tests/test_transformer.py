@@ -30,8 +30,13 @@ def test_reserved_ids():
 
 
 def test_vocab_encode_unk_fallback():
-    v = Vocab.from_tokens(RESERVED + ("hello", "world"))
+    v = Vocab(RESERVED + ("hello", "world", "hello"))
     assert v.encode(["hello", "nope", "world"]) == [4, UNK_ID, 5]
+
+
+def test_vocab_needs_the_reserved_entries():
+    with pytest.raises(DataError, match="reserved entries"):
+        Vocab(RESERVED[:3])
 
 
 def test_build_vocab_sorted_and_reserved():
