@@ -4,14 +4,16 @@ collect() computes one series per requested metric name from keyword
 inputs, trying each metric family once; a family that lacks an input
 or fails gives each requested name a note instead of a crash. BLEU is
 one quality.corpus_bleus call, and one relevance pass per checkpoint
-fills all three relevance series. CSV rows are checkpoints, columns
-metrics, empty cells marking undefined points; csv_text() and
-format_value() also build the robust table. SVG output assembles one
-800x400 line chart per series, stacked vertically in a single file.
-Its labels escape &, < and > as xml.sax.saxutils.escape does, without
-importing it (that module loads urllib, http.client and ssl), and a
-checkpoint id holding a character XML 1.0 cannot carry is refused
-before anything is written.
+fills all three relevance series. As BLEU leaves a refused checkpoint
+empty, an RMSS series leaves empty each checkpoint without hyp.emb and
+notes which. CSV rows are checkpoints, columns metrics, empty cells
+marking undefined points; csv_text() and format_value() also build
+the robust table. SVG output assembles one 800x400 line chart per
+series, stacked vertically in a single file. Its labels escape &, <
+and > as xml.sax.saxutils.escape does, without importing it (that
+module loads urllib, http.client and ssl), and a checkpoint id
+holding a character XML 1.0 cannot carry is refused before anything
+is written.
 """
 
 import re
@@ -47,29 +49,36 @@ def _bleu_series(run: AnalysisRun, lowercase: bool) -> MetricSeries:
     return MetricSeries(metric_name="bleu", points=points)
 
 
-def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> MetricSeries:
+def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> tuple[MetricSeries, list]:
+    """rmss of each checkpoint against the side's vectors, and the checkpoints without vectors.
+
+    A checkpoint without hyp.emb gets no value and every sentence
+    skipped; a missing side or a set of the wrong size refuses the series.
+    """
     if not emb or side not in emb or "checkpoints" not in emb:
         raise DataError(f"missing {side} embeddings")
-    missing = [
-        c.checkpoint_id for c in run.checkpoints if c.checkpoint_id not in emb["checkpoints"]
-    ]
-    if missing:
-        raise DataError(f"missing checkpoint embeddings for {missing}")
     x_set: EmbeddingSet = emb[side]
+    hyps = emb["checkpoints"]
     n = len(run.source)
     sets = [(f"{side}.emb", x_set)] + [
-        (f"checkpoints/{c.checkpoint_id}/hyp.emb", emb["checkpoints"][c.checkpoint_id])
+        (f"checkpoints/{c.checkpoint_id}/hyp.emb", hyps[c.checkpoint_id])
         for c in run.checkpoints
+        if c.checkpoint_id in hyps
     ]
     for name, emb_set in sets:
         if emb_set.count != n:
             raise DataError(f"{name} holds {emb_set.count} vectors for {n} sentences")
     points = []
+    missing = []
     for ckpt in run.checkpoints:
-        y_set = emb["checkpoints"][ckpt.checkpoint_id]
-        result = rmss(x_set, y_set, k)
-        points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
-    return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points))
+        y_set = hyps.get(ckpt.checkpoint_id)
+        if y_set is None:
+            missing.append(ckpt.checkpoint_id)
+            points.append(SeriesPoint(ckpt.checkpoint_id, None, n))
+        else:
+            result = rmss(x_set, y_set, k)
+            points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
+    return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points)), missing
 
 
 def corpus_contributions(model, vocab, sources, targets):
@@ -113,7 +122,9 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
 
     Returns (series list in request order, notes list). Each family is
     tried once; if its inputs are missing or it raises a DataError or
-    NumericError, each of its requested names gets a note instead.
+    NumericError, each of its requested names gets a note instead. An
+    rmss series whose checkpoints lack embeddings keeps their cells empty
+    and gets a note naming them.
     """
     metrics = tuple(metrics)  # walked three times; an iterator would be used up by the first
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
@@ -121,6 +132,7 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
         raise DataError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")
 
     computed: dict[str, MetricSeries | DataError | NumericError] = {}
+    gaps = {}  # rmss metric -> checkpoints left empty for want of embeddings
     for metric in metrics:
         if metric in computed:  # one relevance pass fills or refuses all three series
             continue
@@ -130,7 +142,9 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
             elif metric in WORDORDER_METRICS:
                 computed[metric] = corpus_wordorder(run, metric, iterations)
             elif metric in RMSS_METRICS:
-                computed[metric] = _rmss_series(run, metric.rsplit("-", 1)[1], embeddings, k)
+                computed[metric], gaps[metric] = _rmss_series(
+                    run, metric.rsplit("-", 1)[1], embeddings, k
+                )
             else:
                 computed.update(_lrp_series(run, model, vocab))
         except (DataError, NumericError) as exc:
@@ -139,7 +153,12 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
 
     results = [(m, computed[m]) for m in metrics]
     series = [r for _, r in results if isinstance(r, MetricSeries)]
-    notes = [f"{m}: skipped ({r})" for m, r in results if not isinstance(r, MetricSeries)]
+    notes = []
+    for m, r in results:
+        if not isinstance(r, MetricSeries):
+            notes.append(f"{m}: skipped ({r})")
+        elif gaps.get(m):
+            notes.append(f"{m}: no value for {gaps[m]} (missing checkpoint embeddings)")
     return series, notes
 
 

@@ -8,17 +8,60 @@ neighbors in X. Neighbor pools are the full opposing set, so the
 paired sentence may be its own neighbor. Scores are high when a pair
 is closer than its neighborhoods.
 
-The cosines are never held as one n x n matrix. The x-side sums come
-from row tiles of xn @ yn.T, the y-side sums from row tiles of
-yn @ xn.T, each tile max(1, TILE_ELEMENTS // n) whole rows; cos(x_i, y_i)
-is read from the diagonal of the x-side tiles. Memory beyond the two
-normalised input copies is one tile (16 MB) plus a few length-n
-vectors; at n <= 1448 one tile is the whole matrix, and at n = 8192 a
-tile is 256 rows, tall enough for the BLAS product to run near its
-full-matrix speed. In each row np.partition picks the k largest
-values, and only those are sorted and summed largest first: the
-order, and so the rounding, of summing a fully sorted row's first k
-values. Which BLAS kernel fills a tile still depends on its shape, so
+The cosines are never held as one n x n matrix. They come in row
+tiles of xn @ yn.T, each max(1, TILE_ELEMENTS // n) whole rows: at
+n <= 1448 one tile is the whole matrix, and at n = 8192 a tile is 256
+rows, tall enough for the BLAS product to run near its full-matrix
+speed. cos(x_i, y_i) is read from the tiles' diagonal. In each row
+np.partition picks the k largest values, and only those are sorted
+and summed largest first: the order, and so the rounding, of summing
+a fully sorted row's first k values. Those are the x-side sums.
+
+The y-side sums need each column's k largest values, and in one
+product they come from the same tiles. A (k, n) array holds each
+column's k largest so far, largest first. The first max(k, DENSE_ROWS)
+rows enter it whole, one row at a time, by compare-exchange down the k
+slots. After that each tile is compared, in bands of BAND_ELEMENTS
+cells, with its columns' k-th values, and only the cells strictly
+greater are kept: a cell equal to the k-th value cannot change the
+sum. Every MERGE_BATCH such cells are merged at once, each hit column
+sorting its k values together with all of its new cells and keeping
+the k largest. For rows in random order about k n ln(n / dense rows)
+cells are merged, whatever the dimension. Each column's k values are
+then copied to a C-contiguous ascending row and summed in reverse,
+exactly as a row of the x-side is, so that both sides round alike.
+
+Two products remain, the y-side from row tiles of yn @ xn.T summed as
+the x-side is, when one tile holds every row: there the second
+product is one matmul and the merge would save nothing. Above one
+tile the merge always runs. Its cost grows with k and not with d, so
+at small d and large k it costs more than the second product it
+replaces: on a 2-vCPU Xeon with OpenBLAS, rmss on random sets of
+n = 4096 at k = 16 took 1.5 times the two products' time at d = 2
+and 1.2 times at d = 64. It was faster at k <= 4 on those sets, at
+k = 1, 4 and 16 on the seed-1 scoring set (n = 8192, d = 128), and
+at k = 4 and 16 on a random set of n = 8192 at d = 512.
+
+The merge also gives up, and the second product runs, once the
+merged cells pass GIVE_UP times their random-order expectation for
+the rows seen so far, plus n. That guard bounds only adversarial row
+orders, such as a set built so that the cosines rise down every
+column, which could make every cell a candidate; no real embedding
+file is known to need it.
+
+Memory beyond the two normalised input copies is one tile (16 MB) and
+a few length-n vectors: with one product, the (k, n) array and one
+band or batch of candidates.
+
+The two paths give the same bits when each cell (i, j) of xn @ yn.T
+equals cell (j, i) of yn @ xn.T, the same dot product of the same two
+vectors. All 2,097,152 cells of a 256 x 8192 tile of the seed-1
+scoring benchmark, at d = 128, were equal. But a BLAS kernel may round
+a cell by its place in the tile: OpenBLAS did so in the last columns
+of tiles whose width n is not a multiple of its kernel's (for random
+vectors at n = 1500 and d = 128, 10,054 of the 2,250,000 cells
+differ), and then a score can move by a few units in its last
+place. Which BLAS kernel fills a tile also depends on its shape, so
 cosines can differ in the last bit from those of a full product.
 
 Embedding files are UTF-8 text read through corpus.read_lines: a
@@ -29,6 +72,7 @@ of weight files; load errors name the file and that line. Embedding extraction i
 this module only ingests vectors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +83,16 @@ from .series import mean_or_none
 
 # cosines held at once: one row tile of xn @ yn.T or yn @ xn.T (16 MB of float64)
 TILE_ELEMENTS = 1 << 21
+# cells of a tile compared at once with their columns' k-th values
+BAND_ELEMENTS = 1 << 16
+# candidate cells gathered before they are merged into the column top-k
+MERGE_BATCH = 1 << 9
+# the first max(k, DENSE_ROWS) rows merge every cell into the column top-k
+DENSE_ROWS = 256
+# the y-side falls back to a second product once the merged cells pass
+# GIVE_UP times their expectation for rows in random order, plus n; this
+# guards only against adversarial row orders
+GIVE_UP = 2.0
 
 
 @dataclass(frozen=True)
@@ -79,8 +133,13 @@ class RmssResult:
     skipped: int
 
 
-def _top_k_sums(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i of a @ b.T, the sum of its k largest values and entry (i, i)."""
+def _top_k_sums(
+    a: np.ndarray, b: np.ndarray, k: int, columns: "_ColumnTopK | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i of a @ b.T, the sum of its k largest values and entry (i, i).
+
+    Each tile is handed to columns.add before its rows are partitioned.
+    """
     n = a.shape[0]
     rows = max(1, TILE_ELEMENTS // n)
     sums = np.empty(n)
@@ -91,10 +150,97 @@ def _top_k_sums(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         tile = buf[: stop - start]
         np.matmul(a[start:stop], b.T, out=tile)
         diag[start:stop] = tile.diagonal(start)
+        if columns is not None:
+            columns.add(tile, start)
         tile.partition(n - k, axis=1)  # each row's k largest now sit last
         top = np.sort(tile[:, n - k :], axis=1)
         sums[start:stop] = top[:, ::-1].sum(axis=1)  # largest first
     return sums, diag
+
+
+class _ColumnTopK:
+    """Each column's k largest values over the tiles added so far.
+
+    top[:, j] holds column j's k largest, largest first. The first
+    dense_rows rows merge every cell, one row at a time, by
+    compare-exchange down the k slots. Later rows merge, in batches, only
+    the cells strictly above their column's k-th value top[k - 1, j].
+    """
+
+    def __init__(self, n: int, k: int, dense_rows: int):
+        self.top = np.full((k, n), -np.inf)
+        self.dense_rows = dense_rows
+        self.merged = 0  # cells merged after the dense rows
+        self.given_up = False
+        self.cells: list[np.ndarray] = []  # candidates not yet merged
+        self.vals: list[np.ndarray] = []
+        self.pending = 0
+
+    def add(self, tile: np.ndarray, start: int) -> None:
+        """Merge the tile whose first row is row start of the product."""
+        if self.given_up:
+            return
+        dense = min(len(tile), max(0, self.dense_rows - start))
+        self._merge_rows(tile[:dense])
+        k, n = self.top.shape
+        band_rows = max(1, BAND_ELEMENTS // n)
+        for b in range(dense, len(tile), band_rows):
+            band = tile[b : b + band_rows]
+            cells = np.flatnonzero(band > self.top[-1])  # cell i * n + j is in column j
+            if not cells.size:
+                continue
+            self.merged += cells.size
+            expected = k * n * math.log((start + b + len(band)) / self.dense_rows)
+            if self.merged > GIVE_UP * expected + n:
+                self.given_up = True
+                self.cells, self.vals = [], []
+                return
+            self.cells.append(cells)
+            self.vals.append(band.take(cells))
+            self.pending += cells.size
+            if self.pending >= MERGE_BATCH:
+                self._merge_batch()
+
+    def sums(self) -> np.ndarray:
+        """Per column, the sum of its k largest values, largest first."""
+        self._merge_batch()
+        # the C-contiguous ascending rows that _top_k_sums sums in reverse
+        ascending = np.ascontiguousarray(self.top[::-1].T)
+        return ascending[:, ::-1].sum(axis=1)
+
+    def _merge_rows(self, tile: np.ndarray) -> None:
+        v = np.empty(tile.shape[1])
+        low = np.empty_like(v)
+        for row in tile:
+            v[:] = row
+            for slot in self.top:
+                np.minimum(slot, v, out=low)
+                np.maximum(slot, v, out=slot)
+                v, low = low, v
+
+    def _merge_batch(self) -> None:
+        """Merge the pending candidates, all of a column's at once."""
+        if not self.pending:
+            return
+        k, n = self.top.shape
+        cols = np.concatenate(self.cells) % n
+        vals = np.concatenate(self.vals)
+        self.cells, self.vals, self.pending = [], [], 0
+        order = np.argsort(cols)
+        cols = cols[order]
+        first = np.empty(cols.size, dtype=bool)  # first candidate of its column
+        first[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        rank = np.arange(cols.size) - starts[group]
+        hit = cols[starts]
+        # per hit column: its k values, its candidates, and -inf padding
+        block = np.full((hit.size, k + 1 + int(rank.max())), -np.inf)
+        block[:, :k] = self.top[:, hit].T
+        block[group, k + rank] = vals[order]
+        block.sort(axis=1)
+        self.top[:, hit] = block[:, : -k - 1 : -1].T
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -127,8 +273,13 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
 
     xn = _unit_rows(x_set.vectors)
     yn = _unit_rows(y_set.vectors)
-    x_top, paired = _top_k_sums(xn, yn, k)  # paired[i] = cos(x_i, y_i)
-    y_top, _ = _top_k_sums(yn, xn, k)
+    # one product unless one tile holds the whole matrix, where merging saves nothing
+    columns = _ColumnTopK(n, k, min(n, max(k, DENSE_ROWS))) if n * n > TILE_ELEMENTS else None
+    x_top, paired = _top_k_sums(xn, yn, k, columns)  # paired[i] = cos(x_i, y_i)
+    if columns is not None and not columns.given_up:
+        y_top = columns.sums()
+    else:
+        y_top, _ = _top_k_sums(yn, xn, k)
     denom = x_top / (2.0 * k) + y_top / (2.0 * k)
     per = [None if d <= 0.0 else float(c / d) for c, d in zip(paired, denom)]
     skipped = per.count(None)

@@ -14,12 +14,15 @@ reads each step's logits and activations from that cache.
 
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
-self-describing: a header with the configuration, then named arrays
+self-describing: line 1 reads "mtlens-weights 1", the format version,
+then a header with the configuration, then named arrays
 with explicit shapes; an unknown header key, or a key or array name
 given twice, is refused. A 1-D array is one row and an N-D array
 shape[0] rows of prod(shape[1:]) values, parsed by corpus.read_array
 as embedding rows are. Vocab files hold one token per line, the line
 number being the id; ids 0..3 are reserved for BOS, EOS, UNK and PAD.
+A token listed twice is refused, since encode could never give its
+second id.
 """
 
 import math
@@ -52,9 +55,11 @@ class Vocab:
         tokens = tuple(self.tokens)
         if len(tokens) < len(RESERVED):
             raise DataError("vocab needs at least the 4 reserved entries")
-        index = {}  # a repeated token keeps its first id
+        index = {}
         for i, tok in enumerate(tokens):
-            index.setdefault(tok, i)
+            if tok in index:
+                raise DataError(f"line {i + 1}: token {tok!r} repeats line {index[tok] + 1}")
+            index[tok] = i
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "index", index)
 
@@ -201,8 +206,8 @@ def load_model(path) -> TransformerModel:
     config = {}
     weights = {}
     lines = read_lines(path)
-    if next(lines, (1, ""))[1].split()[:1] != ["mtlens-weights"]:
-        raise DataError(f"{path}: not a weight file")
+    if next(lines, (1, ""))[1].split() != ["mtlens-weights", "1"]:
+        raise DataError(f"{path}: line 1: not a version 1 weight file (want 'mtlens-weights 1')")
     for lineno, line in lines:
         parts = line.split()
         if not parts:

@@ -7,7 +7,8 @@ array in one block with np.loadtxt, with the error texts of
 accepts `1_0`, non-ASCII digits and any Unicode whitespace between
 values, and every error names its line, so the production loaders
 must give the same array bits, or the same DataError text, as these
-on any input. Both refuse the same header keys and repeated names.
+on any input. Both refuse the same header keys and repeated names,
+and any first line but "mtlens-weights 1".
 """
 
 import math
@@ -24,8 +25,8 @@ def load_model(path) -> TransformerModel:
     config = {}
     weights = {}
     lines = read_lines(path)
-    if next(lines, (1, ""))[1].split()[:1] != ["mtlens-weights"]:
-        raise DataError(f"{path}: not a weight file")
+    if next(lines, (1, ""))[1].split() != ["mtlens-weights", "1"]:
+        raise DataError(f"{path}: line 1: not a version 1 weight file (want 'mtlens-weights 1')")
     for lineno, line in lines:
         parts = line.split()
         if not parts:

@@ -178,6 +178,35 @@ def test_cli_refuses_weights_the_loader_cannot_place(case, tmp_path):
     assert (code, err) == (2, f"error: {model}: line 763: {reason}\n")
 
 
+# first lines of a weight file other than "mtlens-weights 1", each refused at line 1
+WEIGHT_FIRST_LINES = ("mtlens-weights 99", "mtlens-weights 2", "mtlens-weights",
+                      "mtlens-weights 1 0", "mtlens-weights 01", "weights 1", "")
+
+
+@pytest.mark.parametrize("first", WEIGHT_FIRST_LINES)
+def test_cli_refuses_a_weight_file_version_other_than_1(first, tmp_path):
+    model, one = tmp_path / "model.wts", tmp_path / "one.txt"
+    text = (DATA_DIR / "fixture.wts").read_text(encoding="utf-8")
+    model.write_text(first + text[text.index("\n"):], encoding="utf-8")
+    one.write_text("ka re mi\n", encoding="utf-8")
+    code, err = run_main([str(model if a == "BAD" else one if a == "ONE" else a)
+                          for a in CLI_CASES["model"]])
+    want = f"error: {model}: line 1: not a version 1 weight file (want 'mtlens-weights 1')\n"
+    assert (code, err) == (2, want)
+
+
+# the last line of vocab.txt, line 24, replaced by a token that an earlier line lists
+@pytest.mark.parametrize("token, line", [("ka", 5), ("<unk>", 3)])
+def test_cli_refuses_a_repeated_vocab_token(token, line, tmp_path):
+    vocab, one = tmp_path / "vocab.txt", tmp_path / "one.txt"
+    lines = (DATA_DIR / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(lines[:-1] + [token]) + "\n", encoding="utf-8")
+    one.write_text("ka re mi\n", encoding="utf-8")
+    code, err = run_main([str(vocab if a == "BAD" else one if a == "ONE" else a)
+                          for a in CLI_CASES["vocab"]])
+    assert (code, err) == (2, f"error: {vocab}: line 24: token {token!r} repeats line {line}\n")
+
+
 # argv with BAD for a copy of run3 whose checkpoint 000100 is named b"\xff100",
 # BAD_KIND for a copy of run3 named b"\xff", and OUT for an output file
 NON_UTF8_CASES = {

@@ -211,20 +211,123 @@ def test_tiles_keep_oracle_skips_mixed_sign(case):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
 
+# -- the y-side from the x-side tiles against two products ---------------------
+
+
+def check_merged_rmss(x, y, k, tile_rows, dense_rows, band_rows, batch, give_up):
+    """rmss with the y-side merged equals the oracles bit for bit."""
+    n = x.count
+    with mock.patch.multiple(
+        semsim,
+        TILE_ELEMENTS=tile_rows * n,
+        DENSE_ROWS=dense_rows,
+        BAND_ELEMENTS=band_rows * n,
+        MERGE_BATCH=batch,
+        GIVE_UP=give_up,
+    ):
+        got = rmss(x, y, k)
+        assert_same_result(got, semsim_oracle.column_rmss(x, y, k))
+        if semsim_oracle.cells_agree(x, y):
+            assert_same_result(got, semsim_oracle.two_product_rmss(x, y, k))
+
+
+def merge_settings(n, k):
+    """(tile rows, dense rows, band rows, batch, give-up multiple) to try.
+
+    One-row tiles, tiles of fewer than k rows, tiles that do not divide
+    n, dense rows that end inside a tile or span several, one-row bands,
+    a merge per band or one at the end, and the default give-up rule.
+    """
+    half = n // 2 + 1
+    return (
+        (1, 1, 1, 1, math.inf),
+        (max(1, k - 1), 1, 2, 1 << 20, math.inf),
+        (half, 3, 1, 3, math.inf),
+        (half, k, half, 1, math.inf),
+        (3, 2 * k, 2, 5, semsim.GIVE_UP),
+        (half, 1, 1, 1, semsim.GIVE_UP),
+    )
+
+
+def assert_same_result(got, want):
+    assert got.per_sentence == want.per_sentence
+    assert got.mean == want.mean
+    assert got.skipped == want.skipped
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=embedding_pairs(low=-3))
+def test_merged_y_side_equals_two_products(case):
+    # the tiles' cells, merged per column, summed as a row is summed
+    x, y, k = case
+    for setting in merge_settings(x.count, k):
+        check_merged_rmss(x, y, k, *setting)
+
+
+def rising_columns(n, dim, rng):
+    """Vectors whose cosines rise down every column of xn @ yn.T.
+
+    Every y_j is u plus noise in the dimensions 2.., and x_i is u plus
+    s_i (e_0 - e_1) with s_i falling in i. Since u, e_0 - e_1 and the
+    noise are orthogonal, x_i . y_j is the same for every i, while
+    |x_i| falls as i grows.
+    """
+    u = np.ones(dim)
+    noise = np.zeros((n, dim))
+    noise[:, 2:] = 0.1 * rng.standard_normal((n, dim - 2))
+    v = np.zeros(dim)
+    v[:2] = (1.0, -1.0)
+    s = np.linspace(4.0, 0.0, n)
+    return embedding_set(u + s[:, None] * v), embedding_set(u + noise)
+
+
+def test_rising_columns_give_up_and_equal_two_products():
+    rng = np.random.default_rng(8)
+    for n, k in ((30, 1), (30, 7), (45, 12)):
+        x, y = rising_columns(n, 5, rng)
+        for setting in merge_settings(n, k):
+            check_merged_rmss(x, y, k, *setting)
+
+
+def matmul_calls(x, y, k):
+    with mock.patch.object(semsim.np, "matmul", wraps=np.matmul) as matmul:
+        rmss(x, y, k)
+    return matmul.call_count
+
+
+def test_one_product_per_tile_unless_one_tile_or_given_up():
+    rng = np.random.default_rng(9)
+    n, dim = 2048, 128  # two tiles of 1024 rows
+    spread = [embedding_set(rng.standard_normal((n, dim))) for _ in "xy"]
+    assert matmul_calls(*spread, 4) == 2
+    got = rmss(*spread, 4)
+    assert_same_result(got, semsim_oracle.column_rmss(*spread, 4))
+    if semsim_oracle.cells_agree(*spread):  # true with OpenBLAS at n = 2048
+        assert_same_result(got, semsim_oracle.two_product_rmss(*spread, 4))
+    one_tile = [embedding_set(v.vectors[:72]) for v in spread]
+    assert matmul_calls(*one_tile, 4) == 2
+    rising = rising_columns(n, dim, rng)
+    assert matmul_calls(*rising, 4) == 4  # gives up in the second tile
+    assert_same_result(rmss(*rising, 4), semsim_oracle.two_product_rmss(*rising, 4))
+    with mock.patch.object(semsim, "GIVE_UP", math.inf):  # never gives up: one product per tile
+        assert matmul_calls(*rising, 4) == 2
+
+
 def test_rmss_holds_no_n_by_n_matrix():
     n = 4096  # one default tile is 512 rows, an eighth of the matrix
     rng = np.random.default_rng(5)
-    x = embedding_set(rng.standard_normal((n, 8)))
-    y = embedding_set(rng.standard_normal((n, 8)))
-    tracemalloc.start()
-    try:
-        rmss(x, y, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n / 4  # a quarter of the float64 n x n cosine matrix
-    # one tile, the two normalised input copies and a few length-n vectors
-    assert peak <= 8 * semsim.TILE_ELEMENTS + 2 * x.vectors.nbytes + 12 * 8 * n
+    for dim in (8, 128):  # the y-side comes from the x-side tiles
+        x = embedding_set(rng.standard_normal((n, dim)))
+        y = embedding_set(rng.standard_normal((n, dim)))
+        tracemalloc.start()
+        try:
+            rmss(x, y, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4  # a quarter of the float64 n x n cosine matrix
+        # one tile, the two normalised input copies and a few length-n vectors
+        assert peak <= 8 * semsim.TILE_ELEMENTS + 2 * x.vectors.nbytes + 12 * 8 * n, dim
 
 
 def test_load_single_vector(tmp_path):

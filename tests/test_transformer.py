@@ -30,8 +30,14 @@ def test_reserved_ids():
 
 
 def test_vocab_encode_unk_fallback():
-    v = Vocab(RESERVED + ("hello", "world", "hello"))
+    v = Vocab(RESERVED + ("hello", "world"))
     assert v.encode(["hello", "nope", "world"]) == [4, UNK_ID, 5]
+
+
+def test_vocab_refuses_a_repeated_token():
+    # the second id could never be encoded; ids count from line 1
+    with pytest.raises(DataError, match=r"^line 7: token 'hello' repeats line 5$"):
+        Vocab(RESERVED + ("hello", "world", "hello"))
 
 
 def test_vocab_needs_the_reserved_entries():
