@@ -33,6 +33,15 @@ layer gets its caches cut to those rows (views, no copies), while
 cross-attention keeps the whole encoder memory. The results differ
 from one pass per step only by floating-point rounding.
 
+The forward cache keeps each activation once, so the backward rebuilds
+the two inputs it does not keep with the expressions the forward
+evaluated, bit for bit: a layer norm's input as the sublayer's
+in + out, and the ReLU output as max(z1, 0). The backward writes in
+place only into arrays it has just created itself (a product, a
+residual share, a rescaled copy), never into a cache array or the
+relevance a caller passed in, so a block's working set stays at a few
+arrays of its size.
+
 Conservation is not enforced per layer. After the backward pass each
 input token's contribution is aggregated over its embedding neurons
 (position encoding included) with negative neuron relevances clipped
@@ -78,7 +87,9 @@ def linear_relevance(x, w, z, rel_out):
     # one 2-D product: numpy runs a broadcast product with a transposed
     # operand an order of magnitude slower than this
     back = scaled.reshape(-1, scaled.shape[-1]) @ w.T
-    return x * back.reshape(scaled.shape[:-1] + w.shape[:1])
+    back = back.reshape(scaled.shape[:-1] + w.shape[:1])
+    back *= x
+    return back
 
 
 def _residual_split(a, b, rel_sum):
@@ -86,13 +97,15 @@ def _residual_split(a, b, rel_sum):
     return a / total * rel_sum, b / total * rel_sum
 
 
-def _layer_norm_relevance(ln_cache, rel_out):
+def _layer_norm_relevance(cache, rel_out):
     # frozen affine map: the linear term acts on the centered input
     # (the cached mean is a constant input shift), so each unit keeps
-    # the share of its output not owed to the layer-norm bias
-    x = ln_cache["x"]
-    linear_part = ln_cache["gain"] * (x - ln_cache["mean"]) / ln_cache["std"]
-    return linear_part / _stab(ln_cache["out"]) * rel_out
+    # the share of its output not owed to the layer-norm bias; the
+    # input is the residual sum, rebuilt as _layer formed it
+    ln = cache["ln"]
+    x = cache["in"] + cache["out"]
+    linear_part = ln["gain"] * (x - ln["mean"]) / ln["std"]
+    return linear_part / _stab(ln["out"]) * rel_out
 
 
 def _attention_relevance(model, prefix, cache, rel_out):
@@ -102,20 +115,20 @@ def _attention_relevance(model, prefix, cache, rel_out):
     """
     w = model.weights
     rel_ctx = linear_relevance(cache["ctx"], w[f"{prefix}_wo"], cache["out"], rel_out)
-    ctx_h = _heads(cache["ctx"], model.heads)
-    rel_ctx_h = _heads(rel_ctx, model.heads)
-    v_h = _heads(cache["v"], model.heads)
     probs = cache["probs"]  # (H, Tq, Tk)
     # c[t] = sum_s A[t,s] v[s]: epsilon rule over the s-sum, per dim
-    weighted = rel_ctx_h / _stab(ctx_h)  # (H, Tq, dh)
-    rel_v_h = v_h * (probs.transpose(0, 2, 1) @ weighted)  # (H, Tk, dh)
-    rel_v = _unheads(rel_v_h)
-    return linear_relevance(cache["kv_in"], w[f"{prefix}_wv"], cache["v"], rel_v)
+    weighted = _heads(rel_ctx, model.heads)  # (H, Tq, dh), a view of rel_ctx
+    weighted /= _stab(_heads(cache["ctx"], model.heads))
+    rel_v_h = probs.transpose(0, 2, 1) @ weighted  # (H, Tk, dh)
+    rel_v_h *= _heads(cache["v"], model.heads)
+    return linear_relevance(cache["kv_in"], w[f"{prefix}_wv"], cache["v"], _unheads(rel_v_h))
 
 
 def _ffn_relevance(model, prefix, cache, rel_out):
     w = model.weights
-    rel_relu = linear_relevance(cache["relu"], w[f"{prefix}_w2"], cache["out"], rel_out)
+    relu = np.maximum(cache["z1"], 0.0)  # as _ffn computed it
+    rel_relu = linear_relevance(relu, w[f"{prefix}_w2"], cache["out"], rel_out)
+    del relu  # freed before the w1 product, the backward's largest
     # ReLU: pass-through (inactive units already carry zero relevance)
     return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu)
 
@@ -129,15 +142,14 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
     rel_memory = None
     for (name, _), cache in zip(reversed(sublayers), reversed(caches)):
         sub = f"{prefix}_{name}"
-        rel_sum = _layer_norm_relevance(cache["ln"], rel)
-        rel_direct, rel_sub = _residual_split(cache["in"], cache["out"], rel_sum)
+        rel, rel_sub = _residual_split(cache["in"], cache["out"], _layer_norm_relevance(cache, rel))
         if name == "ffn":
-            rel = rel_direct + _ffn_relevance(model, sub, cache, rel_sub)
+            rel += _ffn_relevance(model, sub, cache, rel_sub)
         elif name == "cross":
+            # the query path gets nothing: rel is the residual share alone
             rel_memory = _attention_relevance(model, sub, cache, rel_sub)
-            rel = rel_direct  # the query path gets nothing
         else:
-            rel = rel_direct + _attention_relevance(model, sub, cache, rel_sub)
+            rel += _attention_relevance(model, sub, cache, rel_sub)
     return rel, rel_memory
 
 
@@ -204,13 +216,12 @@ def lrp_backward(
     rel_dec[batch, rows] = (
         dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
     )
-    rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
+    rel = np.zeros((len(rows),) + cache["enc_out"].shape)  # over the encoder output
     for i in reversed(range(model.layers)):
         caches = _live_rows(cache["dec_layers"][i], last_step)
         rel_dec, rel_enc = _layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
-        rel_enc_total += rel_enc
+        rel += rel_enc
 
-    rel = rel_enc_total
     for i in reversed(range(model.layers)):
         rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
 

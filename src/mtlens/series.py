@@ -20,4 +20,14 @@ class MetricSeries:
 
 
 def mean_or_none(values) -> float | None:
-    return sum(values) / len(values) if values else None
+    """The mean of values, None for none; the same bits on every Python.
+
+    The values are added with a sequential `+=` from 0.0, since `sum`
+    compensates its rounding on Python 3.12 and later.
+    """
+    if not values:
+        return None
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)

@@ -10,7 +10,10 @@ whole non-empty target prefix at once, causally masked: it returns
 the last row's next-token logits and the per-sublayer caches, whose
 "logits" hold every row's. Relevance propagation runs it teacher-forced
 over the whole target, once per sentence pair unless a step fails, and
-reads each step's logits and activations from that cache.
+reads each step's logits and activations from that cache. The cache
+keeps each activation once: a layer norm's input (the residual sum
+in + out) and a ReLU output (max(z1, 0)) are left out, since relevance
+rebuilds them bit for bit from what is kept.
 
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
@@ -20,9 +23,10 @@ with explicit shapes; an unknown header key, or a key or array name
 given twice, is refused. A 1-D array is one row and an N-D array
 shape[0] rows of prod(shape[1:]) values, parsed by corpus.read_array
 as embedding rows are. Vocab files hold one token per line, the line
-number being the id; ids 0..3 are reserved for BOS, EOS, UNK and PAD.
-A token listed twice is refused, since encode could never give its
-second id.
+number being the id; lines 1-4 must read <bos>, <eos>, <unk> and
+<pad>, the tokens of the reserved ids 0..3 (BOS, EOS, UNK, PAD), since
+a vocab without them would give its first words those ids. A token
+listed twice is refused, since encode could never give its second id.
 """
 
 import math
@@ -55,6 +59,9 @@ class Vocab:
         tokens = tuple(self.tokens)
         if len(tokens) < len(RESERVED):
             raise DataError("vocab needs at least the 4 reserved entries")
+        for i, (tok, reserved) in enumerate(zip(tokens, RESERVED)):
+            if tok != reserved:
+                raise DataError(f"line {i + 1}: token {tok!r} where {reserved!r} is reserved")
         index = {}
         for i, tok in enumerate(tokens):
             if tok in index:
@@ -265,7 +272,7 @@ def _layer_norm(x, gain, bias):
     var = x.var(axis=1, keepdims=True)
     std = np.sqrt(var + LN_EPS)
     out = gain * (x - mean) / std + bias
-    return out, {"x": x, "mean": mean, "std": std, "gain": gain, "out": out}
+    return out, {"mean": mean, "std": std, "gain": gain, "out": out}
 
 
 def _softmax(scores):
@@ -306,16 +313,19 @@ def _attention(model, prefix, q_in, kv_in, causal):
 def _ffn(model, prefix, x):
     w = model.weights
     z1 = x @ w[f"{prefix}_w1"] + w[f"{prefix}_b1"]
-    relu = np.maximum(z1, 0.0)
-    out = relu @ w[f"{prefix}_w2"] + w[f"{prefix}_b2"]
-    return out, {"z1": z1, "relu": relu, "out": out}
+    out = np.maximum(z1, 0.0) @ w[f"{prefix}_w2"] + w[f"{prefix}_b2"]
+    return out, {"z1": z1, "out": out}
 
 
 def _layer(model, prefix, sublayers, x, memory=None):
     """Run one layer of a sublayer table; memory is what "cross" attends to.
 
-    Returns the output and one cache per sublayer, in table order, each
-    with the sublayer's input ("in") and its layer norm's cache ("ln").
+    Returns the output and one cache per sublayer, in table order. Each
+    holds the sublayer's input "in", its output "out" and its layer
+    norm's cache "ln" (per-row "mean" and "std", the "gain" weight and
+    the normalized "out"). An attention cache adds the key/value input
+    "kv_in", the values "v", the probabilities "probs" and the context
+    "ctx"; a feed-forward cache adds the pre-activation "z1".
     """
     w = model.weights
     caches = []

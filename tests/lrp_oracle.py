@@ -7,7 +7,11 @@ prefix [BOS] + tgt[:t - 1] and propagates 1.0 from the top-1 logit of
 the prefix's last row back through that pass alone. The propagation
 rules are copied here with their shapes of one step, so a change to the
 production rules cannot hide in the oracle. The forward pass is the
-production one: `tests/naive_transformer.py` is its own oracle.
+production one: `tests/naive_transformer.py` is its own oracle. Its
+cache keeps neither the layer norm's input nor the ReLU output, so the
+rules here rebuild them as the forward computed them, in + out and
+max(z1, 0), as the production rules do; they allocate every result
+afresh, where the production backward writes into its own temporaries.
 
 all_rows_backward is the batched backward `mtlens.lrp` shipped before
 it cut each block's decoder pass to the rows before the block's last
@@ -49,10 +53,11 @@ def _residual_split(a, b, rel_sum):
     return a / total * rel_sum, b / total * rel_sum
 
 
-def _layer_norm_relevance(ln_cache, rel_out):
-    x = ln_cache["x"]
-    linear_part = ln_cache["gain"] * (x - ln_cache["mean"]) / ln_cache["std"]
-    return linear_part / _stab(ln_cache["out"]) * rel_out
+def _layer_norm_relevance(cache, rel_out):
+    ln = cache["ln"]
+    x = cache["in"] + cache["out"]  # the residual sum the layer norm read
+    linear_part = ln["gain"] * (x - ln["mean"]) / ln["std"]
+    return linear_part / _stab(ln["out"]) * rel_out
 
 
 def _attention_relevance(model, prefix, cache, rel_out):
@@ -70,7 +75,8 @@ def _attention_relevance(model, prefix, cache, rel_out):
 
 def _ffn_relevance(model, prefix, cache, rel_out):
     w = model.weights
-    rel_relu = linear_relevance(cache["relu"], w[f"{prefix}_w2"], cache["out"], rel_out)
+    relu = np.maximum(cache["z1"], 0.0)
+    rel_relu = linear_relevance(relu, w[f"{prefix}_w2"], cache["out"], rel_out)
     return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu)
 
 
@@ -78,7 +84,7 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
     rel_memory = None
     for (name, _), cache in zip(reversed(sublayers), reversed(caches)):
         sub = f"{prefix}_{name}"
-        rel_sum = _layer_norm_relevance(cache["ln"], rel)
+        rel_sum = _layer_norm_relevance(cache, rel)
         rel_direct, rel_sub = _residual_split(cache["in"], cache["out"], rel_sum)
         if name == "ffn":
             rel = rel_direct + _ffn_relevance(model, sub, cache, rel_sub)

@@ -207,6 +207,32 @@ def test_cli_refuses_a_repeated_vocab_token(token, line, tmp_path):
     assert (code, err) == (2, f"error: {vocab}: line 24: token {token!r} repeats line {line}\n")
 
 
+# vocab.txt with its reserved lines 1-4 edited: (edit, first wrong line, its token, reserved token)
+RESERVED_EDITS = {
+    "a word on line 1": (lambda lines: ["the"] + lines[1:], 1, "the", "<bos>"),
+    "no reserved lines": (lambda lines: lines[4:], 1, "ka", "<bos>"),
+    "unk and pad swapped": (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+                            3, "<pad>", "<unk>"),
+    "pad dropped": (lambda lines: lines[:3] + lines[4:], 4, "ka", "<pad>"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESERVED_EDITS))
+def test_cli_refuses_a_vocab_without_the_reserved_lines(case, tmp_path):
+    # ids 0-3 are BOS, EOS, UNK and PAD whatever the file says, so a word
+    # on one of those lines would be encoded as that id
+    edit, line, token, reserved = RESERVED_EDITS[case]
+    vocab, one = tmp_path / "vocab.txt", tmp_path / "one.txt"
+    lines = (DATA_DIR / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[:4] == ["<bos>", "<eos>", "<unk>", "<pad>"] and lines[4] == "ka"
+    vocab.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    one.write_text("ka re mi\n", encoding="utf-8")
+    code, err = run_main([str(vocab if a == "BAD" else one if a == "ONE" else a)
+                          for a in CLI_CASES["vocab"]])
+    want = f"error: {vocab}: line {line}: token {token!r} where {reserved!r} is reserved\n"
+    assert (code, err) == (2, want)
+
+
 # argv with BAD for a copy of run3 whose checkpoint 000100 is named b"\xff100",
 # BAD_KIND for a copy of run3 named b"\xff", and OUT for an output file
 NON_UTF8_CASES = {

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,17 @@ from mtlens.lrp import (
     lrp_backward,
 )
 from mtlens.rng import SplitMix64
-from mtlens.transformer import RESERVED, Vocab, forward, init_model, load_model, load_vocab
+from mtlens.transformer import (
+    BOS_ID,
+    DECODER_LAYER,
+    ENCODER_LAYER,
+    RESERVED,
+    Vocab,
+    forward,
+    init_model,
+    load_model,
+    load_vocab,
+)
 
 from conftest import DATA_DIR, make_sentence
 
@@ -90,6 +101,69 @@ def test_conservation_random_models():
             assert np.all(rec.source_rel >= 0.0)
             assert np.all(rec.target_rel >= 0.0)
             assert 0.0 <= rec.r_source <= 1.0 + 1e-12
+
+
+# -- raw conservation, before the BOS row is dropped and the rest clipped ------
+
+
+def raw_row_totals(model, src_ids, tgt_ids):
+    """Per step of one teacher-forced pass: its seed and its input rows' totals.
+
+    Walks lrp_backward's layer loop over one block of every step, keeping
+    the BOS row that records leave out. Returns the seed total
+    (z - out_b[t]) / stab(z) per step, and per step the relevance totals
+    of the source rows and of every decoder input row, BOS first.
+    """
+    _, cache = forward(model, src_ids, [BOS_ID] + tgt_ids[:-1])
+    steps = np.arange(len(tgt_ids))
+    targets = cache["logits"].argmax(axis=1)
+    z = cache["logits"][steps, targets]
+    rel_dec = np.zeros((len(steps),) + cache["dec_out"].shape)
+    rel_dec[steps, steps] = (
+        cache["dec_out"] * model.weights["out_w"][:, targets].T / lrp._stab(z)[:, None]
+    )
+    rel_src = np.zeros((len(steps),) + cache["enc_out"].shape)
+    for i in reversed(range(model.layers)):
+        caches = lrp._live_rows(cache["dec_layers"][i], len(steps))
+        rel_dec, rel_memory = lrp._layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
+        rel_src += rel_memory
+    for i in reversed(range(model.layers)):
+        layer = cache["enc_layers"][i]
+        rel_src, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, layer, rel_src)
+    seed = (z - model.weights["out_b"][targets]) / lrp._stab(z)
+    return seed, rel_src.sum(axis=2), rel_dec.sum(axis=2)
+
+
+TINY_EPS = 1e-12
+
+
+def test_raw_relevance_is_conserved_up_to_the_stabiliser():
+    # With zero biases (init_model) every rule passes on all it receives
+    # but what the stabiliser eps*sign(z) absorbs, so source plus decoder
+    # rows, BOS included, hold the seed; the absorption is first order in
+    # eps, so the gap at the default EPS is EPS / TINY_EPS times the gap at
+    # TINY_EPS. Tolerances scale with the relevance mass that flows, since
+    # the rows' totals cancel (BOS alone can carry 1e4 times the seed).
+    rng = SplitMix64(5)
+    for trial in range(40):
+        model = toy_model(seed=trial, layers=1 + rng.randrange(3), heads=1 + rng.randrange(2))
+        assert not any(np.any(w) for name, w in model.weights.items() if "_b" in name)
+        src = make_sentence(" ".join(WORDS[rng.randrange(20)] for _ in range(1 + rng.randrange(9))))
+        tgt = make_sentence(" ".join(WORDS[rng.randrange(20)] for _ in range(1 + rng.randrange(9))))
+        ids = VOCAB.encode(src.tokens), VOCAB.encode(tgt.tokens)
+        with mock.patch.object(lrp, "EPS", TINY_EPS):
+            seed, source, decoder = raw_row_totals(model, *ids)
+        mass = 1.0 + np.abs(source).sum(axis=1) + np.abs(decoder).sum(axis=1)
+        tiny_gap = np.abs(source.sum(axis=1) + decoder.sum(axis=1) - seed)
+        assert np.all(tiny_gap <= 1e-8 * mass), trial
+
+        seed, source, decoder = raw_row_totals(model, *ids)
+        gap = np.abs(source.sum(axis=1) + decoder.sum(axis=1) - seed)
+        assert np.all(gap <= 1.1 * lrp.EPS / TINY_EPS * tiny_gap + 1e-8 * mass), trial
+        # the walk is the production backward: the records' raw sums are its rows
+        for b, rec in enumerate(contributions(model, src, tgt, VOCAB)):
+            assert np.array_equal(rec.raw_source_rel, source[b]), trial
+            assert np.array_equal(rec.raw_target_rel, decoder[b, 1 : b + 1]), trial
 
 
 def test_determinism_bitwise():
@@ -347,8 +421,8 @@ def test_decoder_backward_carries_live_rows_only():
             assert cross["kv_in"].shape[0] == cross["v"].shape[0] == 2  # the whole memory
             for cache in caches:
                 assert cache["in"].shape[0] == cache["out"].shape[0] == rows
-                assert cache["ln"]["x"].shape[0] == rows
-            assert ffn["relu"].shape[0] == rows
+                assert cache["ln"]["out"].shape[0] == cache["ln"]["mean"].shape[0] == rows
+            assert ffn["z1"].shape[0] == rows
             calls.append((rel.shape[0], rows))
         return real(model, prefix, sublayers, caches, rel)
 
@@ -365,3 +439,94 @@ def test_decoder_backward_carries_live_rows_only():
         for start in range(0, target_len, block)
     )
     assert sum(b * rows for b, rows in calls) == model.layers * row_steps == 2 * 37
+
+
+# -- what the forward keeps for the backward ----------------------------------
+
+# The backward reads each sublayer's input, output and layer norm (whose
+# input it rebuilds as in + out), an attention's value path and a
+# feed-forward's pre-activation (whose ReLU it rebuilds); nothing else is kept.
+ATTENTION_KEYS = {"in", "out", "ln", "kv_in", "v", "probs", "ctx"}
+CACHE_KEYS = {"attn": ATTENTION_KEYS, "self": ATTENTION_KEYS, "cross": ATTENTION_KEYS,
+              "ffn": {"in", "out", "ln", "z1"}}
+LN_KEYS = {"mean", "std", "gain", "out"}
+
+
+class ReadLog(dict):
+    """A cache dict that notes each key read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_sublayer_caches_hold_exactly_what_the_backward_reads():
+    model = toy_model(seed=8)
+    src, tgt = VOCAB.encode(["w1", "w2", "w3"]), VOCAB.encode(["w4", "w5", "w6", "w7"])
+    _, cache = forward(model, src, [BOS_ID] + tgt[:-1])
+    logged = []
+    for side, table in (("enc_layers", ENCODER_LAYER), ("dec_layers", DECODER_LAYER)):
+        for layer in cache[side]:
+            for j, (name, _) in enumerate(table):
+                layer[j] = ReadLog({**layer[j], "ln": ReadLog(layer[j]["ln"])})
+                logged.append((name, layer[j], dict.__getitem__(layer[j], "ln")))
+    # every step in one block: the decoder rows kept are all of them, so
+    # the cached dicts themselves go backward instead of _live_rows' cuts
+    with mock.patch.object(lrp, "_live_rows", lambda caches, n: caches):
+        lrp_backward(model, cache, 1, cache["logits"].argmax(axis=1))
+    for name, sub, ln in logged:
+        assert set(sub) == sub.read == CACHE_KEYS[name], name
+        assert set(ln) == ln.read == LN_KEYS, name
+
+
+def kept_bytes(cache, weights):
+    """Bytes of the distinct array buffers in a forward cache, weights aside."""
+    buffers = {}
+
+    def walk(node):
+        if isinstance(node, np.ndarray):
+            base = node if node.base is None else node.base
+            buffers[id(base)] = base.nbytes
+        elif isinstance(node, (dict, list)):
+            for child in node.values() if isinstance(node, dict) else node:
+                walk(child)
+
+    walk(cache)
+    for w in weights.values():  # the layer-norm gains
+        buffers.pop(id(w if w.base is None else w.base), None)
+    return sum(buffers.values())
+
+
+def test_contributions_memory_is_the_cache_plus_one_block():
+    # d=64 and a 20-token pair, so arrays outweigh Python objects; all 20
+    # steps are one block, whose widest arrays hold steps x 20 rows x ffn
+    model = toy_model(seed=5, dim=64, ffn=128)
+    src = make_sentence(" ".join(WORDS[(7 * i) % 20] for i in range(20)))
+    tgt = make_sentence(" ".join(WORDS[(3 * i + 1) % 20] for i in range(20)))
+    src_ids, tgt_ids = VOCAB.encode(src.tokens), VOCAB.encode(tgt.tokens)
+    cache = forward(model, src_ids, [BOS_ID] + tgt_ids[:-1])[1]
+    kept = kept_bytes(cache, model.weights)
+    del cache
+    per_step = 20 * max(model.dim, model.ffn)
+    steps = min(len(tgt_ids), lrp.BLOCK_ELEMENTS // per_step)
+    block = 8 * steps * per_step
+    assert steps == 20
+    tracemalloc.start()
+    try:
+        contributions(model, src, tgt, VOCAB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # At most five blocks are live at once, in a decoder feed-forward:
+    # the caller's relevance, the sum over the encoder output and the
+    # previous layer's share of it (half a block each, d = ffn / 2 wide),
+    # the residual split's two halves, the ReLU output's relevance, its
+    # scaled copy and the product back. With row-sized temporaries this
+    # peaks 5.7 blocks past the cache. Caching the layer-norm input and the
+    # ReLU output too (0.44 block here) and allocating every product and
+    # sum afresh peaked 7.7 blocks past it.
+    assert peak < kept + 6.5 * block

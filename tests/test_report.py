@@ -14,7 +14,7 @@ from mtlens.errors import DataError, NumericError
 from mtlens.quality import corpus_bleu
 from mtlens.report import RELEVANCE_METRICS, collect, emit_csv, emit_svg
 from mtlens.semsim import load_embeddings, rmss
-from mtlens.series import MetricSeries, SeriesPoint
+from mtlens.series import MetricSeries, SeriesPoint, mean_or_none
 from mtlens.transformer import load_model, load_vocab
 from mtlens.wordorder import corpus_wordorder
 
@@ -36,6 +36,13 @@ def identity_run():
 
 def fixture_run():
     return load_run(DATA_DIR / "run3")
+
+
+def test_mean_or_none_adds_in_order():
+    # sum() compensates its rounding on Python 3.12 and later (1.0 there);
+    # a sequential fold gives 0.9999999999999999 on every version
+    assert mean_or_none([0.1] * 10) == 0.09999999999999999
+    assert mean_or_none([]) is None
 
 
 def fixture_inputs():

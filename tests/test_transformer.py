@@ -43,6 +43,9 @@ def test_vocab_refuses_a_repeated_token():
 def test_vocab_needs_the_reserved_entries():
     with pytest.raises(DataError, match="reserved entries"):
         Vocab(RESERVED[:3])
+    # else "the" would encode as BOS and an unknown word as line 3's "x"
+    with pytest.raises(DataError, match=r"^line 1: token 'the' where '<bos>' is reserved$"):
+        Vocab(("the", "a", "x", "y", "cat"))
 
 
 def test_build_vocab_sorted_and_reserved():
