@@ -153,9 +153,17 @@ def cmd_rmss(args) -> dict:
     }
 
 
+def _load_model_and_vocab(model_path, vocab_path):
+    """The model and vocab, refused unless the model embeds every vocab id."""
+    model, vocab = load_model(model_path), load_vocab(vocab_path)
+    if len(vocab) > model.vocab_size:
+        raise DataError(f"{vocab_path} holds {len(vocab)} tokens, but {model_path} "
+                        f"embeds only {model.vocab_size}")
+    return model, vocab
+
+
 def cmd_lrp(args) -> str:
-    model = load_model(args.model)
-    vocab = load_vocab(args.vocab)
+    model, vocab = _load_model_and_vocab(args.model, args.vocab)
     src, tgt = _load_pair(args.src, args.tgt)
     scored, stats, skipped = report_mod.corpus_contributions(model, vocab, src, tgt)
     out_lines = [
@@ -179,16 +187,10 @@ def cmd_lrp(args) -> str:
 
 
 def _load_report_embeddings(emb_dir, run):
-    emb = {"checkpoints": {}}
-    wanted = [(emb, side, (f"{side}.emb",)) for side in ("ref", "src")] + [
-        (emb["checkpoints"], c.checkpoint_id, ("checkpoints", c.checkpoint_id, "hyp.emb"))
-        for c in run.checkpoints
-    ]
-    for table, key, parts in wanted:
-        path = os.path.join(emb_dir, *parts)
-        if os.path.isfile(path):
-            table[key] = load_embeddings(path)
-    return emb
+    """The embedding files under emb_dir that exist, keyed by run-relative name."""
+    names = ["ref.emb", "src.emb"] + [report_mod.hyp_emb_name(c) for c in run.checkpoints]
+    return {name: load_embeddings(path) for name in names
+            if os.path.isfile(path := os.path.join(emb_dir, name))}
 
 
 def cmd_report(args) -> dict:
@@ -207,7 +209,7 @@ def cmd_report(args) -> dict:
     if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
         embeddings = _load_report_embeddings(args.embeddings, run)
     if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
-        model, vocab = load_model(args.model), load_vocab(args.vocab)
+        model, vocab = _load_model_and_vocab(args.model, args.vocab)
     series, notes = report_mod.collect(
         run, metrics, iterations=args.iters, k=args.k, lowercase=args.lc,
         embeddings=embeddings, model=model, vocab=vocab,

@@ -22,7 +22,7 @@ from .corpus import AnalysisRun, write_text
 from .errors import DataError, NumericError
 from .lrp import contribution_stats, contributions
 from .quality import corpus_bleu, corpus_bleus  # noqa: F401 (benchmarks/spans.py wraps corpus_bleu here)
-from .semsim import EmbeddingSet, rmss
+from .semsim import rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import WORDORDER_METRICS, corpus_wordorder
 
@@ -49,35 +49,34 @@ def _bleu_series(run: AnalysisRun, lowercase: bool) -> MetricSeries:
     return MetricSeries(metric_name="bleu", points=points)
 
 
+def hyp_emb_name(ckpt) -> str:
+    """The run-relative name of a checkpoint's hypothesis embeddings."""
+    return f"checkpoints/{ckpt.checkpoint_id}/hyp.emb"
+
+
 def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> tuple[MetricSeries, list]:
     """rmss of each checkpoint against the side's vectors, and the checkpoints without vectors.
 
     A checkpoint without hyp.emb gets no value and every sentence
     skipped; a missing side or a set of the wrong size refuses the series.
     """
-    if not emb or side not in emb or "checkpoints" not in emb:
+    emb = emb or {}
+    x_name, n = f"{side}.emb", len(run.source)
+    if x_name not in emb:
         raise DataError(f"missing {side} embeddings")
-    x_set: EmbeddingSet = emb[side]
-    hyps = emb["checkpoints"]
-    n = len(run.source)
-    sets = [(f"{side}.emb", x_set)] + [
-        (f"checkpoints/{c.checkpoint_id}/hyp.emb", hyps[c.checkpoint_id])
-        for c in run.checkpoints
-        if c.checkpoint_id in hyps
-    ]
-    for name, emb_set in sets:
-        if emb_set.count != n:
-            raise DataError(f"{name} holds {emb_set.count} vectors for {n} sentences")
+    names = [hyp_emb_name(c) for c in run.checkpoints]
+    for name in [x_name] + names:
+        if name in emb and emb[name].count != n:
+            raise DataError(f"{name} holds {emb[name].count} vectors for {n} sentences")
     points = []
     missing = []
-    for ckpt in run.checkpoints:
-        y_set = hyps.get(ckpt.checkpoint_id)
-        if y_set is None:
+    for ckpt, name in zip(run.checkpoints, names):
+        if name in emb:
+            result = rmss(emb[x_name], emb[name], k)
+            points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
+        else:
             missing.append(ckpt.checkpoint_id)
             points.append(SeriesPoint(ckpt.checkpoint_id, None, n))
-        else:
-            result = rmss(x_set, y_set, k)
-            points.append(SeriesPoint(ckpt.checkpoint_id, result.mean, result.skipped))
     return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points)), missing
 
 
@@ -114,9 +113,11 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
             embeddings=None, model=None, vocab=None):
     """Compute the requested metric series.
 
-    iterations is the FRS EM iteration count, k the RMSS neighbourhood
-    size, lowercase the BLEU casing, embeddings {"ref": EmbeddingSet,
-    "src": EmbeddingSet, "checkpoints": {id: EmbeddingSet}} with one
+    metrics are distinct KNOWN_METRICS names; an unknown or repeated
+    name raises DataError. iterations is the FRS EM iteration count, k
+    the RMSS neighbourhood size, lowercase the BLEU casing, embeddings
+    the EmbeddingSets keyed by their run-relative file names ("ref.emb",
+    "src.emb", "checkpoints/<id>/hyp.emb", see hyp_emb_name) with one
     vector per run sentence each, and model/vocab the transformer and
     vocabulary of the relevance metrics.
 
@@ -126,10 +127,13 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
     rmss series whose checkpoints lack embeddings keeps their cells empty
     and gets a note naming them.
     """
-    metrics = tuple(metrics)  # walked three times; an iterator would be used up by the first
+    metrics = tuple(metrics)  # walked more than once; an iterator would be used up by the first
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
     if unknown:
         raise DataError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")
+    repeated = sorted({m for i, m in enumerate(metrics) if m in metrics[:i]})
+    if repeated:
+        raise DataError(f"metrics {repeated} requested more than once")
 
     computed: dict[str, MetricSeries | DataError | NumericError] = {}
     gaps = {}  # rmss metric -> checkpoints left empty for want of embeddings
@@ -214,6 +218,10 @@ MARGIN_T = 30
 MARGIN_B = 50
 
 
+def _text(x, y, anchor, size, body) -> str:
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}">{body}</text>'
+
+
 def _chart(series: MetricSeries, y_offset: int) -> str:
     pts = [(i, p.value) for i, p in enumerate(series.points) if p.value is not None]
     values = [v for _, v in pts]
@@ -230,46 +238,26 @@ def _chart(series: MetricSeries, y_offset: int) -> str:
     def sy(v):
         return MARGIN_T + (CHART_H - MARGIN_T - MARGIN_B) * (1.0 - (v - lo) / (hi - lo))
 
-    lines = [f'<g transform="translate(0,{y_offset})">']
-    lines.append(
-        f'<text x="{CHART_W / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-size="14">{escape(series.metric_name)}</text>'
-    )
-    # axes
     x0, y0 = MARGIN_L, CHART_H - MARGIN_B
-    lines.append(
-        f'<line x1="{x0}" y1="{MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>'
-    )
-    lines.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{CHART_W - MARGIN_R}" y2="{y0}" stroke="black"/>'
-    )
-    lines.append(
-        f'<text x="{x0 - 8}" y="{sy(hi - pad):.1f}" text-anchor="end" '
-        f'font-size="10">{hi - pad:.4g}</text>'
-    )
-    lines.append(
-        f'<text x="{x0 - 8}" y="{sy(lo + pad):.1f}" text-anchor="end" '
-        f'font-size="10">{lo + pad:.4g}</text>'
-    )
-    for i, point in enumerate(series.points):
-        lines.append(
-            f'<text x="{sx(i):.1f}" y="{y0 + 16}" text-anchor="middle" '
-            f'font-size="10">{escape(point.checkpoint_id)}</text>'
-        )
-    lines.append(
-        f'<text x="{CHART_W / 2:.1f}" y="{y0 + 34}" text-anchor="middle" '
-        f'font-size="11">checkpoint</text>'
-    )
+    mid = f"{CHART_W / 2:.1f}"
+    lines = [
+        f'<g transform="translate(0,{y_offset})">',
+        _text(mid, 18, "middle", 14, escape(series.metric_name)),
+        # axes
+        f'<line x1="{x0}" y1="{MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{CHART_W - MARGIN_R}" y2="{y0}" stroke="black"/>',
+        *(_text(x0 - 8, f"{sy(v):.1f}", "end", 10, f"{v:.4g}") for v in (hi - pad, lo + pad)),
+        *(_text(f"{sx(i):.1f}", y0 + 16, "middle", 10, escape(point.checkpoint_id))
+          for i, point in enumerate(series.points)),
+        _text(mid, y0 + 34, "middle", 11, "checkpoint"),
+    ]
     if pts:
         coords = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in pts)
-        lines.append(
-            f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
+        lines.append(f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" '
+                     f'points="{coords}"/>')
     else:
         lines.append('<polyline fill="none" stroke="steelblue" points=""/>')
-    lines.append("</g>")
-    return "\n".join(lines)
+    return "\n".join(lines + ["</g>"])
 
 
 def emit_svg(series_list, path) -> None:

@@ -115,6 +115,11 @@ LAYOUTS = "{DATA}/layouts"
 MALFORMED = "{DATA}/malformed"
 # emb3 without checkpoint 000300's hyp.emb
 EMB_PARTIAL = "{DATA}/emb_partial"
+# emb3 with 11 vectors in checkpoint 000200's hyp.emb, and emb3 without src.emb
+EMB_SHORT_HYP = "{DATA}/emb_short_hyp"
+EMB_NO_SRC = "{DATA}/emb_no_src"
+# run3's first two sentences, with a checkpoint whose id holds &, < and >
+XML_NAMES = "{DATA}/xml_names"
 # a small model for vocab.txt with blank lines in its header and between its arrays
 SPACED = "{DATA}/spaced.wts"
 MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
@@ -246,6 +251,12 @@ GOLDEN_CLI = (
           "--k", "2", "--csv", "{OUT}/emb_partial.csv"], False),
         (["lrp", "--model", SPACED, "--vocab", "{DATA}/vocab.txt",
           COMMA + "/src.txt", COMMA + "/ref.txt"], True),
+        (["report", RUN, "--embeddings", EMB_SHORT_HYP, "--metrics", "bleu,rmss-vs-ref",
+          "--k", "2", "--csv", "{OUT}/emb_short_hyp.csv"], False),
+        (["report", RUN, "--embeddings", EMB_NO_SRC, "--metrics", "rmss-vs-src,rmss-vs-ref",
+          "--k", "2", "--csv", "{OUT}/emb_no_src.csv"], False),
+        (["report", XML_NAMES, "--metrics", "bleu,ter-vs-ref",
+          "--csv", "{OUT}/xml_names.csv", "--svg", "{OUT}/xml_names.svg"], False),
     ]
 )
 
@@ -319,6 +330,12 @@ def main():
     write_lines(comma / "ref.txt", ref_lines[:2])
     write_lines(comma / "checkpoints" / "a,b" / "hyp.txt", ref_lines[:2])
 
+    xml_names = DATA / "xml_names"
+    write_lines(xml_names / "src.txt", src_lines[:2])
+    write_lines(xml_names / "ref.txt", ref_lines[:2])
+    write_lines(xml_names / "checkpoints" / "0100" / "hyp.txt", ckpts["000100"][:2])
+    write_lines(xml_names / "checkpoints" / "<0200&>" / "hyp.txt", ref_lines[:2])
+
     layouts = DATA / "layouts"
     for name in ("no_checkpoints", "stray", "no_hyp"):
         write_lines(layouts / name / "src.txt", src_lines[:2])
@@ -365,6 +382,14 @@ def main():
     for rel in ("ref.emb", "src.emb", "checkpoints/000100/hyp.emb", "checkpoints/000200/hyp.emb"):
         (partial / rel).parent.mkdir(parents=True, exist_ok=True)
         (partial / rel).write_bytes((emb / rel).read_bytes())
+    for name, skip in (("emb_short_hyp", ()), ("emb_no_src", ("src.emb",))):
+        for path in sorted(emb.rglob("*.emb")):
+            rel = path.relative_to(emb).as_posix()
+            if rel not in skip:
+                (DATA / name / rel).parent.mkdir(parents=True, exist_ok=True)
+                (DATA / name / rel).write_bytes(path.read_bytes())
+    save_embeddings(corpus_embeddings(ckpts["000200"][:11], "hyp@000200"),
+                    DATA / "emb_short_hyp" / "checkpoints" / "000200" / "hyp.emb")
 
     src_corpus = load_corpus(run / "src.txt")
     ref_corpus = load_corpus(run / "ref.txt")

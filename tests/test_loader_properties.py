@@ -233,6 +233,32 @@ def test_cli_refuses_a_vocab_without_the_reserved_lines(case, tmp_path):
     assert (code, err) == (2, want)
 
 
+# vocab.txt (24 tokens, as many as fixture.wts embeds) with words appended or its last dropped
+VOCAB_SIZE_CASES = {
+    "lrp": ["lrp", "--model", "MODEL", "--vocab", "VOCAB", f"{RUN}/src.txt", f"{RUN}/ref.txt"],
+    "report": ["report", str(RUN), "--model", "MODEL", "--vocab", "VOCAB",
+               "--metrics", "src-entropy", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VOCAB_SIZE_CASES))
+@pytest.mark.parametrize("extra", [40, 1, -1])
+def test_cli_refuses_a_vocab_larger_than_the_model(case, extra, tmp_path):
+    # run3's words all sit in vocab.txt's first 24 lines, so no appended id is ever
+    # looked up, and only the sizes can tell that the model cannot embed them
+    vocab, model = tmp_path / "vocab.txt", DATA_DIR / "fixture.wts"
+    lines = (DATA_DIR / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    lines = lines + [f"extra{i}" for i in range(extra)] if extra > 0 else lines[:extra]
+    vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths = {"MODEL": model, "VOCAB": vocab, "OUT": tmp_path / "out.json"}
+    code, err = run_main([str(paths.get(a, a)) for a in VOCAB_SIZE_CASES[case]])
+    if extra < 0:
+        assert (code, err) == (0, "")
+    else:
+        want = f"error: {vocab} holds {24 + extra} tokens, but {model} embeds only 24\n"
+        assert (code, err) == (2, want)
+
+
 # argv with BAD for a copy of run3 whose checkpoint 000100 is named b"\xff100",
 # BAD_KIND for a copy of run3 named b"\xff", and OUT for an output file
 NON_UTF8_CASES = {

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model1_oracle
+import report_oracle
 import wordorder_oracle
 from mtlens import quality, report
 from mtlens.align import TranslationTable, train_model1
@@ -47,18 +48,9 @@ def test_mean_or_none_adds_in_order():
 
 def fixture_inputs():
     run = fixture_run()
-    emb = {
-        "ref": load_embeddings(DATA_DIR / "emb3" / "ref.emb"),
-        "src": load_embeddings(DATA_DIR / "emb3" / "src.emb"),
-        "checkpoints": {
-            c.checkpoint_id: load_embeddings(
-                DATA_DIR / "emb3" / "checkpoints" / c.checkpoint_id / "hyp.emb"
-            )
-            for c in run.checkpoints
-        },
-    }
+    names = ["ref.emb", "src.emb"] + [report.hyp_emb_name(c) for c in run.checkpoints]
     inputs = {
-        "embeddings": emb,
+        "embeddings": {name: load_embeddings(DATA_DIR / "emb3" / name) for name in names},
         "model": load_model(DATA_DIR / "fixture.wts"),
         "vocab": load_vocab(DATA_DIR / "vocab.txt"),
         "iterations": 5,
@@ -94,6 +86,14 @@ def test_collect_missing_model_noted():
 def test_collect_unknown_metric_rejected():
     with pytest.raises(DataError):
         collect(identity_run(), ["nope"])
+
+
+@pytest.mark.parametrize("metrics", [["bleu", "bleu"], ["ter-vs-ref", "bleu", "ter-vs-ref"],
+                                     ["src-entropy", "tgt-entropy", "src-entropy"]])
+def test_collect_repeated_metric_rejected(metrics):
+    # emit_csv would write one column name twice
+    with pytest.raises(DataError, match="more than once"):
+        collect(identity_run(), metrics)
 
 
 def test_collect_order_stability():
@@ -133,8 +133,8 @@ def test_collect_matches_direct_ops():
 
     for idx, ckpt in enumerate(run.checkpoints):
         direct = rmss(
-            inputs["embeddings"]["ref"],
-            inputs["embeddings"]["checkpoints"][ckpt.checkpoint_id],
+            inputs["embeddings"]["ref.emb"],
+            inputs["embeddings"][report.hyp_emb_name(ckpt)],
             2,
         ).mean
         assert by_name["rmss-vs-ref"].points[idx].value == pytest.approx(direct, abs=1e-9)
@@ -320,6 +320,23 @@ def test_emit_svg_parses_or_refuses(tmp_path_factory, ids):
     labels = [e.text for e in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
     # an XML parser reads CR and CRLF as LF
     assert [c.replace("\r\n", "\n").replace("\r", "\n") for c in ids] == labels[3:3 + len(ids)]
+
+
+# values as a series holds them: undefined, tiny, ordinary and near the float range's ends
+CHART_VALUES = st.one_of(st.none(), st.sampled_from([0.0, -0.5, 3.0, 1e-300, 1e300, -1e300]),
+                         st.floats(-1e300, 1e300), st.floats(9e299, 1e300))
+CHART_NAMES = st.text(st.sampled_from("&<>a;# é"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=CHART_NAMES, offset=st.integers(0, 4000),
+       points=st.lists(st.tuples(CHART_NAMES, CHART_VALUES), min_size=1, max_size=12))
+@example(name="a&b<c>", offset=0, points=[("<1&2>", None)] * 3)
+@example(name="const", offset=400, points=[("c", 2.5)] * 12)
+@example(name="ends", offset=0, points=[("lo", -1e300), ("hi", 1e300), ("x", None)])
+def test_chart_equals_oracle(name, offset, points):
+    series = MetricSeries(name, tuple(SeriesPoint(c, v, 0) for c, v in points))
+    assert report._chart(series, offset) == report_oracle._chart(series, offset)
 
 
 def test_emit_empty_rejected(tmp_path):
