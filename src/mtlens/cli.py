@@ -186,9 +186,10 @@ def cmd_lrp(args) -> str:
     return "\n".join(out_lines) + "\n"
 
 
-def _load_report_embeddings(emb_dir, run):
-    """The embedding files under emb_dir that exist, keyed by run-relative name."""
-    names = ["ref.emb", "src.emb"] + [report_mod.hyp_emb_name(c) for c in run.checkpoints]
+def _load_report_embeddings(emb_dir, run, metrics):
+    """The existing files under emb_dir that the rmss metrics read, keyed by run-relative name."""
+    names = [f"{m.rsplit('-', 1)[1]}.emb" for m in metrics if m in report_mod.RMSS_METRICS]
+    names += [report_mod.hyp_emb_name(c) for c in run.checkpoints]
     return {name: load_embeddings(path) for name in names
             if os.path.isfile(path := os.path.join(emb_dir, name))}
 
@@ -207,7 +208,7 @@ def cmd_report(args) -> dict:
     # load only what a requested metric reads
     embeddings = model = vocab = None
     if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
-        embeddings = _load_report_embeddings(args.embeddings, run)
+        embeddings = _load_report_embeddings(args.embeddings, run, metrics)
     if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
         model, vocab = _load_model_and_vocab(args.model, args.vocab)
     series, notes = report_mod.collect(

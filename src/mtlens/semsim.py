@@ -17,41 +17,38 @@ np.partition picks the k largest values, and only those are sorted
 and summed largest first: the order, and so the rounding, of summing
 a fully sorted row's first k values. Those are the x-side sums.
 
-The y-side sums need each column's k largest values, and in one
-product they come from the same tiles. A (k, n) array holds each
-column's k largest so far, largest first. The first max(k, DENSE_ROWS)
-rows enter it whole, one row at a time, by compare-exchange down the k
-slots. After that each tile is compared, in bands of BAND_ELEMENTS
-cells, with its columns' k-th values, and only the cells strictly
-greater are kept: a cell equal to the k-th value cannot change the
-sum. Every MERGE_BATCH such cells are merged at once, each hit column
-sorting its k values together with all of its new cells and keeping
-the k largest. For rows in random order about k n ln(n / dense rows)
-cells are merged, whatever the dimension. Each column's k values are
-then copied to a C-contiguous ascending row and summed in reverse,
-exactly as a row of the x-side is, so that both sides round alike.
+The y-side sums need each column's k largest values. One product
+yields them from the same tiles when k <= rows < n // k, rows being
+the tile height: then the first tile fills each column's k slots, and
+compare-exchanging all of it (k * rows * n operations) costs less than
+the n * n cells of a second product. That first tile is the dense
+prefix. It enters a (k, n) array of each column's k largest so far,
+largest first, one row at a time by compare-exchange down the k slots.
+After that each tile is compared, in bands of BAND_ELEMENTS cells,
+with its columns' k-th values, and only the cells strictly greater are
+kept: a cell equal to the k-th value cannot change the sum. Every
+MERGE_BATCH such cells are merged at once, each hit column sorting its
+k values together with all of its new cells and keeping the k largest.
+For rows in random order about k n ln(n / rows) cells are merged,
+whatever the dimension. Each column's k values are then copied to a
+contiguous ascending row and summed in reverse, exactly as a row of
+the x-side is, so that both sides round alike.
 
-Two products remain, the y-side from row tiles of yn @ xn.T summed as
-the x-side is, when one tile holds every row: there the second
-product is one matmul and the merge would save nothing. Above one
-tile the merge always runs. Its cost grows with k and not with d, so
-at small d and large k it costs more than the second product it
-replaces: on a 2-vCPU Xeon with OpenBLAS, rmss on random sets of
-n = 4096 at k = 16 took 1.5 times the two products' time at d = 2
-and 1.2 times at d = 64. It was faster at k <= 4 on those sets, at
-k = 1, 4 and 16 on the seed-1 scoring set (n = 8192, d = 128), and
-at k = 4 and 16 on a random set of n = 8192 at d = 512.
+Every other input runs two products, the y-side from row tiles of
+yn @ xn.T summed as the x-side is: one tile holds every row, or k is
+too large for the merge to pay. The seed-1 scoring set (n = 8192,
+k = 4) merges after a 256-row prefix; the report benchmark's sets
+(n = 72) are one tile. The merge also gives up, and the second
+product runs, once the merged cells pass GIVE_UP times their
+random-order expectation for the rows seen so far, plus n. That guard
+bounds only adversarial row orders, such as a set built so that the
+cosines rise down every column, which could make every cell a
+candidate; no real embedding file is known to need it.
 
-The merge also gives up, and the second product runs, once the
-merged cells pass GIVE_UP times their random-order expectation for
-the rows seen so far, plus n. That guard bounds only adversarial row
-orders, such as a set built so that the cosines rise down every
-column, which could make every cell a candidate; no real embedding
-file is known to need it.
-
-Memory beyond the two normalised input copies is one tile (16 MB) and
-a few length-n vectors: with one product, the (k, n) array and one
-band or batch of candidates.
+Memory beyond the two normalised input copies is one tile (16 MB), in
+which each row's k largest are sorted in place, and a few length-n
+vectors at every k; one product adds the (k, n) array (k < sqrt(n))
+and a band or batch of candidates.
 
 The two paths give the same bits when each cell (i, j) of xn @ yn.T
 equals cell (j, i) of yn @ xn.T, the same dot product of the same two
@@ -65,11 +62,11 @@ place. Which BLAS kernel fills a tile also depends on its shape, so
 cosines can differ in the last bit from those of a full product.
 
 Embedding files are UTF-8 text read through corpus.read_lines: a
-"count dim" header on line 1, then one row of space-separated
-decimals per vector, so vector i sits on line i + 2, and only blank
-lines after them. corpus.read_array parses the rows, as it does those
-of weight files; load errors name the file and that line. Embedding extraction itself happens upstream;
-this module only ingests vectors.
+"count dim" header on line 1, then one row of space-separated decimals
+per vector, so vector i sits on line i + 2, and only blank lines after
+them. corpus.read_array parses the rows, as it does those of weight
+files; load errors name the file and that line. Embedding extraction
+itself happens upstream; this module only ingests vectors.
 """
 
 import math
@@ -87,8 +84,6 @@ TILE_ELEMENTS = 1 << 21
 BAND_ELEMENTS = 1 << 16
 # candidate cells gathered before they are merged into the column top-k
 MERGE_BATCH = 1 << 9
-# the first max(k, DENSE_ROWS) rows merge every cell into the column top-k
-DENSE_ROWS = 256
 # the y-side falls back to a second product once the merged cells pass
 # GIVE_UP times their expectation for rows in random order, plus n; this
 # guards only against adversarial row orders
@@ -153,7 +148,8 @@ def _top_k_sums(
         if columns is not None:
             columns.add(tile, start)
         tile.partition(n - k, axis=1)  # each row's k largest now sit last
-        top = np.sort(tile[:, n - k :], axis=1)
+        top = tile[:, n - k :]
+        top.sort(axis=1)  # in place: no (rows, k) copy
         sums[start:stop] = top[:, ::-1].sum(axis=1)  # largest first
     return sums, diag
 
@@ -161,16 +157,16 @@ def _top_k_sums(
 class _ColumnTopK:
     """Each column's k largest values over the tiles added so far.
 
-    top[:, j] holds column j's k largest, largest first. The first
-    dense_rows rows merge every cell, one row at a time, by
-    compare-exchange down the k slots. Later rows merge, in batches, only
-    the cells strictly above their column's k-th value top[k - 1, j].
+    top[:, j] holds column j's k largest, largest first. The first tile
+    merges every cell, one row at a time, by compare-exchange down the k
+    slots. Later tiles merge, in batches, only the cells strictly above
+    their column's k-th value top[k - 1, j].
     """
 
-    def __init__(self, n: int, k: int, dense_rows: int):
+    def __init__(self, n: int, k: int):
         self.top = np.full((k, n), -np.inf)
-        self.dense_rows = dense_rows
-        self.merged = 0  # cells merged after the dense rows
+        self.dense_rows = 0  # rows of the first tile
+        self.merged = 0  # cells merged after the first tile
         self.given_up = False
         self.cells: list[np.ndarray] = []  # candidates not yet merged
         self.vals: list[np.ndarray] = []
@@ -180,11 +176,13 @@ class _ColumnTopK:
         """Merge the tile whose first row is row start of the product."""
         if self.given_up:
             return
-        dense = min(len(tile), max(0, self.dense_rows - start))
-        self._merge_rows(tile[:dense])
+        if not start:  # the dense prefix
+            self.dense_rows = len(tile)
+            self._merge_rows(tile)
+            return
         k, n = self.top.shape
         band_rows = max(1, BAND_ELEMENTS // n)
-        for b in range(dense, len(tile), band_rows):
+        for b in range(0, len(tile), band_rows):
             band = tile[b : b + band_rows]
             cells = np.flatnonzero(band > self.top[-1])  # cell i * n + j is in column j
             if not cells.size:
@@ -204,7 +202,7 @@ class _ColumnTopK:
     def sums(self) -> np.ndarray:
         """Per column, the sum of its k largest values, largest first."""
         self._merge_batch()
-        # the C-contiguous ascending rows that _top_k_sums sums in reverse
+        # each column's k values as a contiguous ascending row, summed in reverse like a tile row's
         ascending = np.ascontiguousarray(self.top[::-1].T)
         return ascending[:, ::-1].sum(axis=1)
 
@@ -273,13 +271,11 @@ def rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
 
     xn = _unit_rows(x_set.vectors)
     yn = _unit_rows(y_set.vectors)
-    # one product unless one tile holds the whole matrix, where merging saves nothing
-    columns = _ColumnTopK(n, k, min(n, max(k, DENSE_ROWS))) if n * n > TILE_ELEMENTS else None
+    rows = max(1, TILE_ELEMENTS // n)
+    # one product when the first tile fills every column's k slots for less than a second product
+    columns = _ColumnTopK(n, k) if k <= rows < n // k else None
     x_top, paired = _top_k_sums(xn, yn, k, columns)  # paired[i] = cos(x_i, y_i)
-    if columns is not None and not columns.given_up:
-        y_top = columns.sums()
-    else:
-        y_top, _ = _top_k_sums(yn, xn, k)
+    y_top = columns.sums() if columns and not columns.given_up else _top_k_sums(yn, xn, k)[0]
     denom = x_top / (2.0 * k) + y_top / (2.0 * k)
     per = [None if d <= 0.0 else float(c / d) for c, d in zip(paired, denom)]
     skipped = per.count(None)

@@ -12,12 +12,12 @@ y-side came from the x-side tiles: _top_k_sums is that version
 verbatim, run once over row tiles of xn @ yn.T and once over row tiles
 of yn @ xn.T. column_rmss takes the y-side from the columns of the
 x-side tiles instead, held whole. Tile rows follow semsim.TILE_ELEMENTS,
-so that a test patching it tiles all three the same way. The new rmss
-must equal column_rmss bit for bit, and two_product_rmss too wherever
-the two products' cells agree (cells_agree). They need not: a BLAS
-kernel may round a cell differently by its place in the tile, as
-OpenBLAS does in the last columns when n is not a multiple of its
-kernel width.
+so that a test patching it tiles all three the same way. The merge in
+the new rmss must equal column_rmss bit for bit, its two products
+two_product_rmss, and the two oracles each other wherever the two
+products' cells agree (cells_agree). They need not: a BLAS kernel may
+round a cell differently by its place in the tile, as OpenBLAS does in
+the last columns when n is not a multiple of its kernel width.
 """
 
 import numpy as np
@@ -110,7 +110,7 @@ def cells_agree(x_set: EmbeddingSet, y_set: EmbeddingSet) -> bool:
     return bool((x_side_cells(xn, yn) == x_side_cells(yn, xn).T).all())
 
 
-def _result(paired, x_top, y_top, k) -> RmssResult:
+def rmss_result(paired, x_top, y_top, k) -> RmssResult:
     denom = x_top / (2.0 * k) + y_top / (2.0 * k)
     per = [None if d <= 0.0 else float(c / d) for c, d in zip(paired, denom)]
     mean = mean_or_none([v for v in per if v is not None])
@@ -123,7 +123,7 @@ def two_product_rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssRe
     yn = semsim._unit_rows(y_set.vectors)
     x_top, paired = _top_k_sums(xn, yn, k)
     y_top, _ = _top_k_sums(yn, xn, k)
-    return _result(paired, x_top, y_top, k)
+    return rmss_result(paired, x_top, y_top, k)
 
 
 def column_rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
@@ -138,4 +138,4 @@ def column_rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
     x_top, paired = _top_k_sums(xn, yn, k)
     columns = np.ascontiguousarray(x_side_cells(xn, yn).T)
     top = np.sort(np.sort(columns, axis=1)[:, n - k :], axis=1)  # C-contiguous, as in _top_k_sums
-    return _result(paired, x_top, top[:, ::-1].sum(axis=1), k)
+    return rmss_result(paired, x_top, top[:, ::-1].sum(axis=1), k)

@@ -156,6 +156,23 @@ def test_cli_report_exit_code_contract(data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("side, other", [("ref", "src"), ("src", "ref")])
+@PROPERTY
+@given(data=st.data())
+def test_cli_report_reads_only_the_embeddings_its_metrics_need(side, other, data):
+    # rmss-vs-<side> gives the same series and notes whatever <other>.emb holds
+    argv = ["report", str(RUN), "--metrics", f"rmss-vs-{side}", "--k", "2", "--embeddings"]
+    with scratch_dir() as root:
+        emb = root / "emb"
+        shutil.copytree(DATA_DIR / "emb3", emb)
+        want = run_main(argv + [str(emb), "--csv", str(root / "want.csv"), "--out", str(root / "o")])
+        other_emb = emb / f"{other}.emb"
+        other_emb.write_bytes(data.draw(mutated(other_emb.read_bytes())))
+        got = run_main(argv + [str(emb), "--csv", str(root / "got.csv"), "--out", str(root / "o")])
+        assert got == want
+        assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
+
 # lines appended to fixture.wts that the loader cannot place, and the reason
 # the one error line gives for the first of them, line 763
 WEIGHT_EDITS = {

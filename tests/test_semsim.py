@@ -214,38 +214,63 @@ def test_tiles_keep_oracle_skips_mixed_sign(case):
 # -- the y-side from the x-side tiles against two products ---------------------
 
 
-def check_merged_rmss(x, y, k, tile_rows, dense_rows, band_rows, batch, give_up):
-    """rmss with the y-side merged equals the oracles bit for bit."""
+def merges(n, k):
+    """The path rule: the y-side comes from the x-side tiles when k <= rows < n // k."""
+    rows = max(1, semsim.TILE_ELEMENTS // n)
+    return k <= rows < n // k
+
+
+def merged_rmss(x, y, k):
+    """rmss with the y-side merged from the x-side tiles whatever the path rule says.
+
+    None when the merge gives up.
+    """
+    xn = semsim._unit_rows(x.vectors)
+    yn = semsim._unit_rows(y.vectors)
+    columns = semsim._ColumnTopK(x.count, k)
+    x_top, paired = semsim._top_k_sums(xn, yn, k, columns)
+    if columns.given_up:
+        return None
+    return semsim_oracle.rmss_result(paired, x_top, columns.sums(), k)
+
+
+def check_merged_rmss(x, y, k, tile_rows, band_rows, batch, give_up):
+    """The merge equals column_rmss, and rmss the oracle of its path, bit for bit."""
     n = x.count
     with mock.patch.multiple(
         semsim,
         TILE_ELEMENTS=tile_rows * n,
-        DENSE_ROWS=dense_rows,
         BAND_ELEMENTS=band_rows * n,
         MERGE_BATCH=batch,
         GIVE_UP=give_up,
     ):
-        got = rmss(x, y, k)
-        assert_same_result(got, semsim_oracle.column_rmss(x, y, k))
+        columns = semsim_oracle.column_rmss(x, y, k)
+        products = semsim_oracle.two_product_rmss(x, y, k)
+        merged = merged_rmss(x, y, k)
+        if merged is not None:
+            assert_same_result(merged, columns)
+        one_product = merges(n, k) and merged is not None
+        assert_same_result(rmss(x, y, k), columns if one_product else products)
         if semsim_oracle.cells_agree(x, y):
-            assert_same_result(got, semsim_oracle.two_product_rmss(x, y, k))
+            assert_same_result(columns, products)
 
 
 def merge_settings(n, k):
-    """(tile rows, dense rows, band rows, batch, give-up multiple) to try.
+    """(tile rows, band rows, batch, give-up multiple) to try.
 
-    One-row tiles, tiles of fewer than k rows, tiles that do not divide
-    n, dense rows that end inside a tile or span several, one-row bands,
-    a merge per band or one at the end, and the default give-up rule.
+    One-row tiles, tiles of fewer than k rows, of k rows and of rows that
+    do not divide n, one-row bands, a merge per band or one at the end,
+    and the default give-up rule. merged_rmss runs the merge at every
+    setting; rmss runs it where the path rule says so.
     """
     half = n // 2 + 1
     return (
-        (1, 1, 1, 1, math.inf),
-        (max(1, k - 1), 1, 2, 1 << 20, math.inf),
-        (half, 3, 1, 3, math.inf),
-        (half, k, half, 1, math.inf),
-        (3, 2 * k, 2, 5, semsim.GIVE_UP),
-        (half, 1, 1, 1, semsim.GIVE_UP),
+        (1, 1, 1, math.inf),
+        (max(1, k - 1), 2, 1 << 20, math.inf),
+        (k, 1, 3, math.inf),
+        (half, half, 1, math.inf),
+        (3, 2, 5, semsim.GIVE_UP),
+        (half, 1, 1, semsim.GIVE_UP),
     )
 
 
@@ -295,39 +320,48 @@ def matmul_calls(x, y, k):
     return matmul.call_count
 
 
-def test_one_product_per_tile_unless_one_tile_or_given_up():
+def test_path_rule_counts_products():
+    # one product is a matmul per tile, two products twice as many
     rng = np.random.default_rng(9)
-    n, dim = 2048, 128  # two tiles of 1024 rows
+    n, dim = 2048, 128  # two tiles of 1024 rows: only k = 1 merges
     spread = [embedding_set(rng.standard_normal((n, dim))) for _ in "xy"]
-    assert matmul_calls(*spread, 4) == 2
-    got = rmss(*spread, 4)
-    assert_same_result(got, semsim_oracle.column_rmss(*spread, 4))
+    for k, calls in ((1, 2), (2, 4), (64, 4)):
+        assert matmul_calls(*spread, k) == calls, k
+    got = rmss(*spread, 1)
+    assert_same_result(got, semsim_oracle.column_rmss(*spread, 1))
     if semsim_oracle.cells_agree(*spread):  # true with OpenBLAS at n = 2048
-        assert_same_result(got, semsim_oracle.two_product_rmss(*spread, 4))
+        assert_same_result(got, semsim_oracle.two_product_rmss(*spread, 1))
+    assert_same_result(rmss(*spread, 64), semsim_oracle.two_product_rmss(*spread, 64))
+    # the merge the rule no longer takes at k = 4 still equals the columns of the tiles
+    assert_same_result(merged_rmss(*spread, 4), semsim_oracle.column_rmss(*spread, 4))
     one_tile = [embedding_set(v.vectors[:72]) for v in spread]
     assert matmul_calls(*one_tile, 4) == 2
+    wide = [embedding_set(rng.standard_normal((4096, 8))) for _ in "xy"]  # 8 tiles of 512 rows
+    assert matmul_calls(*wide, 4) == 8
+    assert matmul_calls(*wide, 8) == 16
     rising = rising_columns(n, dim, rng)
-    assert matmul_calls(*rising, 4) == 4  # gives up in the second tile
-    assert_same_result(rmss(*rising, 4), semsim_oracle.two_product_rmss(*rising, 4))
-    with mock.patch.object(semsim, "GIVE_UP", math.inf):  # never gives up: one product per tile
-        assert matmul_calls(*rising, 4) == 2
+    assert matmul_calls(*rising, 1) == 4  # gives up in the second tile
+    assert_same_result(rmss(*rising, 1), semsim_oracle.two_product_rmss(*rising, 1))
+    with mock.patch.object(semsim, "GIVE_UP", math.inf):  # never gives up: one product
+        assert matmul_calls(*rising, 1) == 2
 
 
 def test_rmss_holds_no_n_by_n_matrix():
     n = 4096  # one default tile is 512 rows, an eighth of the matrix
     rng = np.random.default_rng(5)
-    for dim in (8, 128):  # the y-side comes from the x-side tiles
+    # the y-side from the x-side tiles at k = 4, from a second product at the larger k
+    for dim, k in ((8, 4), (128, 4), (8, 1024), (8, 4096)):
         x = embedding_set(rng.standard_normal((n, dim)))
         y = embedding_set(rng.standard_normal((n, dim)))
         tracemalloc.start()
         try:
-            rmss(x, y, 4)
+            rmss(x, y, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n / 4  # a quarter of the float64 n x n cosine matrix
         # one tile, the two normalised input copies and a few length-n vectors
-        assert peak <= 8 * semsim.TILE_ELEMENTS + 2 * x.vectors.nbytes + 12 * 8 * n, dim
+        assert peak <= 8 * semsim.TILE_ELEMENTS + 2 * x.vectors.nbytes + 12 * 8 * n, (dim, k)
 
 
 def test_load_single_vector(tmp_path):
