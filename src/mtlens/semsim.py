@@ -27,9 +27,9 @@ largest first, one row at a time by compare-exchange down the k slots.
 After that each tile is compared, in bands of BAND_ELEMENTS cells,
 with its columns' k-th values, and only the cells strictly greater are
 kept: a cell equal to the k-th value cannot change the sum. Every
-MERGE_BATCH such cells are merged at once, each hit column sorting its
-k values together with all of its new cells and keeping the k largest.
-For rows in random order about k n ln(n / rows) cells are merged,
+MERGE_BATCH such cells enter by the same compare-exchange, in rounds:
+each round takes every hit column's first pending cell, until none is
+left. For rows in random order about k n ln(n / rows) cells are merged,
 whatever the dimension. Each column's k values are then copied to a
 contiguous ascending row and summed in reverse, exactly as a row of
 the x-side is, so that both sides round alike.
@@ -157,10 +157,11 @@ def _top_k_sums(
 class _ColumnTopK:
     """Each column's k largest values over the tiles added so far.
 
-    top[:, j] holds column j's k largest, largest first. The first tile
-    merges every cell, one row at a time, by compare-exchange down the k
-    slots. Later tiles merge, in batches, only the cells strictly above
-    their column's k-th value top[k - 1, j].
+    top[:, j] holds column j's k largest, largest first, and every value
+    enters by compare-exchange down the k slots. The first tile enters
+    whole, one row at a time. Of later tiles only the cells strictly
+    above their column's k-th value top[k - 1, j] are kept, and each
+    batch of them enters in rounds of one cell per hit column.
     """
 
     def __init__(self, n: int, k: int):
@@ -178,7 +179,8 @@ class _ColumnTopK:
             return
         if not start:  # the dense prefix
             self.dense_rows = len(tile)
-            self._merge_rows(tile)
+            for row in tile:
+                _compare_exchange(self.top, row.copy())
             return
         k, n = self.top.shape
         band_rows = max(1, BAND_ELEMENTS // n)
@@ -206,39 +208,30 @@ class _ColumnTopK:
         ascending = np.ascontiguousarray(self.top[::-1].T)
         return ascending[:, ::-1].sum(axis=1)
 
-    def _merge_rows(self, tile: np.ndarray) -> None:
-        v = np.empty(tile.shape[1])
-        low = np.empty_like(v)
-        for row in tile:
-            v[:] = row
-            for slot in self.top:
-                np.minimum(slot, v, out=low)
-                np.maximum(slot, v, out=slot)
-                v, low = low, v
-
     def _merge_batch(self) -> None:
-        """Merge the pending candidates, all of a column's at once."""
+        """Merge the pending candidates in rounds, each column's first pending one a round."""
         if not self.pending:
             return
-        k, n = self.top.shape
-        cols = np.concatenate(self.cells) % n
+        cols = np.concatenate(self.cells) % self.top.shape[1]
         vals = np.concatenate(self.vals)
         self.cells, self.vals, self.pending = [], [], 0
-        order = np.argsort(cols)
-        cols = cols[order]
-        first = np.empty(cols.size, dtype=bool)  # first candidate of its column
-        first[0] = True
-        np.not_equal(cols[1:], cols[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        rank = np.arange(cols.size) - starts[group]
-        hit = cols[starts]
-        # per hit column: its k values, its candidates, and -inf padding
-        block = np.full((hit.size, k + 1 + int(rank.max())), -np.inf)
-        block[:, :k] = self.top[:, hit].T
-        block[group, k + rank] = vals[order]
-        block.sort(axis=1)
-        self.top[:, hit] = block[:, : -k - 1 : -1].T
+        while cols.size:
+            hit, first = np.unique(cols, return_index=True)
+            block = self.top.take(hit, axis=1)
+            _compare_exchange(block, vals[first])
+            self.top[:, hit] = block
+            rest = np.ones(cols.size, dtype=bool)  # the candidates left for later rounds
+            rest[first] = False
+            cols, vals = cols[rest], vals[rest]
+
+
+def _compare_exchange(top: np.ndarray, v: np.ndarray) -> None:
+    """Compare-exchange v[j] down column j of top, which keeps its k largest first; overwrites v."""
+    low = np.empty_like(v)
+    for slot in top:
+        np.minimum(slot, v, out=low)
+        np.maximum(slot, v, out=slot)
+        v, low = low, v
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

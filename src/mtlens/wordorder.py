@@ -5,7 +5,8 @@ hypothesis tokens and M is the other-side length; 1 means the
 hypothesis reads in the other side's order, 0 means every adjacent
 pair breaks. TER = E / L_ref with E a word-level edit count; the
 optional shift mode adds Snover-style greedy block shifts at cost 1
-each before counting remaining insert/delete/substitute edits.
+each before counting remaining insert/delete/substitute edits, and
+scores each distinct shifted hypothesis once per greedy step.
 
 The edit distance, with or without shifts, is computed bit-parallel
 over Python ints (see `levenshtein`); the full-table DP it must equal
@@ -118,10 +119,13 @@ def _best_shift(hyp_tokens: list, ref_tokens: list, base: int):
 
     Candidate moves take a contiguous hypothesis span that matches a
     reference span exactly and reinsert it at the matching reference
-    position. Ties resolve to the first candidate in (start, length,
-    ref position) order, keeping the greedy loop deterministic.
+    position. Each distinct candidate list is scored once: a repeat, or
+    the unshifted hypothesis, has a known distance. Ties resolve to the
+    first candidate in (start, length, ref position) order, keeping the
+    greedy loop deterministic.
     """
     best = None  # (new_dist, new_tokens)
+    seen = {tuple(hyp_tokens)}
     n = len(hyp_tokens)
     for start in range(n):
         for length in range(1, n - start + 1):
@@ -131,9 +135,10 @@ def _best_shift(hyp_tokens: list, ref_tokens: list, base: int):
                 if ref_tokens[rpos : rpos + length] != span:
                     continue
                 dest = min(rpos, len(remaining))
-                if dest == start:
-                    continue  # no movement
                 candidate = remaining[:dest] + span + remaining[dest:]
+                if (key := tuple(candidate)) in seen:
+                    continue
+                seen.add(key)
                 dist = levenshtein(candidate, ref_tokens)
                 if dist < base and (best is None or dist < best[0]):
                     best = (dist, candidate)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semsim_oracle
@@ -287,6 +287,62 @@ def test_merged_y_side_equals_two_products(case):
     x, y, k = case
     for setting in merge_settings(x.count, k):
         check_merged_rmss(x, y, k, *setting)
+
+
+@st.composite
+def pending_batches(draw):
+    """A (k, n) column top-k, largest first, and a batch of candidates for it.
+
+    Values are small integers, so candidates tie with each other and with
+    the k-th values; a column may still hold -inf slots, and with up to
+    four candidates per slot a column can be hit more than k times. The
+    batch comes as flat cell ids i * n + j in one or two lists, as bands
+    leave it.
+    """
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = st.integers(-3, 3).map(float)
+    top = np.full((k, n), -np.inf)
+    for j in range(n):
+        filled = sorted(draw(st.lists(values, max_size=k)), reverse=True)
+        top[: len(filled), j] = filled
+    size = draw(st.integers(1, 4 * k * n))
+    cols = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+    vals = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    split = draw(st.integers(0, size - 1))
+    return top, cols, vals, split
+
+
+def hand_batch(top, cols, vals):
+    return np.array(top, dtype=float), np.array(cols), np.array(vals, dtype=float), 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=pending_batches())
+# k = 1, column 0 hit three times, a tie with its value
+@example(case=hand_batch([[2.0, -np.inf]], [0, 1, 0, 0], [3.0, 1.0, 2.0, 5.0]))
+# column 1 hit five times with k = 3, slots still -inf, ties with the k-th value
+@example(
+    case=hand_batch(
+        [[1.0, 2.0], [0.0, -np.inf], [0.0, -np.inf]],
+        [1, 0, 1, 1, 1, 0, 1],
+        [2.0, 0.0, 2.0, -1.0, 3.0, 1.0, 2.0],
+    )
+)
+def test_merge_batch_equals_sort_and_pad_merge(case):
+    # the compare-exchange rounds leave the top array of the batch sort, bit for bit
+    top, cols, vals, split = case
+    want = top.copy()
+    semsim_oracle.merge_batch(want, cols, vals)
+    k, n = top.shape
+    columns = semsim._ColumnTopK(n, k)
+    columns.top[:] = top
+    cells = cols + n * np.arange(cols.size)
+    columns.cells = [cells[:split], cells[split:]]
+    columns.vals = [vals[:split], vals[split:]]
+    columns.pending = cols.size
+    columns._merge_batch()
+    assert columns.top.tobytes() == want.tobytes()
+    assert columns.pending == 0 and not columns.cells
 
 
 def rising_columns(n, dim, rng):

@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtlens import wordorder
 from mtlens.align import Alignment
 from mtlens.corpus import AnalysisRun, CheckpointRun
 from mtlens.errors import DataError
@@ -18,6 +20,7 @@ from mtlens.wordorder import (
 )
 
 from conftest import make_corpus, make_sentence
+from wordorder_oracle import best_shift as oracle_best_shift
 from wordorder_oracle import corpus_wordorder as oracle_wordorder
 
 
@@ -193,6 +196,44 @@ def test_shifts_never_worse():
 def test_ter_self_zero_with_shifts():
     s = make_sentence("q w e r t")
     assert ter(s, s, shifts=True).ter == 0.0
+
+
+def small_vocab_pairs():
+    """Hypothesis and reference token lists over a vocabulary of 1-4 words, where ties are common."""
+    return st.integers(1, 4).flatmap(
+        lambda v: st.tuples(
+            st.lists(st.sampled_from("abcd"[:v]), max_size=12),
+            st.lists(st.sampled_from("abcd"[:v]), min_size=1, max_size=12),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_vocab_pairs())
+def test_shift_search_equals_scoring_every_candidate(pair):
+    # every greedy step picks the shift the oracle picks, so the edits agree too
+    hyp, ref = pair
+    dist = levenshtein(hyp, ref)
+    shifts = 0
+    while dist > 0:
+        found = wordorder._best_shift(hyp, ref, dist)
+        assert found == oracle_best_shift(hyp, ref, dist)
+        if found is None:
+            break
+        dist, hyp = found
+        shifts += 1
+    got = ter(make_sentence(" ".join(pair[0])), make_sentence(" ".join(ref)), shifts=True)
+    assert got.edits == shifts + dist
+
+
+def test_shift_search_scores_each_distinct_candidate_once():
+    # b a^n against a^n b: every candidate is the b moved among the a's, n distinct lists
+    for n, calls in ((20, 21), (40, 41), (60, 61)):
+        hyp = make_sentence(" ".join(["b"] + ["a"] * n))
+        ref = make_sentence(" ".join(["a"] * n + ["b"]))
+        with mock.patch.object(wordorder, "levenshtein", wraps=levenshtein) as lev:
+            assert ter(hyp, ref, shifts=True).edits == 1
+        assert lev.call_count == calls, n  # the unshifted distance, then one per distinct candidate
 
 
 def _tiny_run(hyps_by_ckpt, src_lines, ref_lines):
