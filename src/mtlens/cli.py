@@ -354,6 +354,7 @@ _EXIT_CODES = {
     DataError: 2,
     OSError: 2,
     NumericError: 3,
+    MemoryError: 4,
 }
 
 
@@ -378,7 +379,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(result)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy's MemoryError names the allocation; a bare one names nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

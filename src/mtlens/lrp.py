@@ -34,13 +34,20 @@ cross-attention keeps the whole encoder memory. The results differ
 from one pass per step only by floating-point rounding.
 
 The forward cache keeps each activation once, so the backward rebuilds
-the two inputs it does not keep with the expressions the forward
+the three values it does not keep with the expressions the forward
 evaluated, bit for bit: a layer norm's input as the sublayer's
-in + out, and the ReLU output as max(z1, 0). The backward writes in
-place only into arrays it has just created itself (a product, a
-residual share, a rescaled copy), never into a cache array or the
-relevance a caller passed in, so a block's working set stays at a few
-arrays of its size.
+in + out, an attention context as probs @ v with its heads merged,
+and the ReLU output as max(z1, 0). A context is rebuilt for one layer
+at a time over all its rows, and cut after: a product over fewer rows
+can round differently. Each rule consumes the relevance it is handed
+(the layer-norm factor, the input's residual share and the epsilon
+rule's division scale it in place, and a feed-forward writes its w1
+product into its spent residual share), and the backward never writes
+into a cache array or a weight. With ffn = 2 x dim, a block's working
+set peaks in a decoder self-attention at six relevance arrays of dim
+columns: the layer's relevance, the sum over the encoder output and
+the cross-attention's share of it, the spent residual share, the
+value relevance and its product.
 
 Conservation is not enforced per layer. After the backward pass each
 input token's contribution is aggregated over its embedding neurons
@@ -77,24 +84,35 @@ def _stab(z):
     return z + EPS * np.where(z >= 0.0, 1.0, -1.0)
 
 
-def linear_relevance(x, w, z, rel_out):
-    """Epsilon-rule backward through z = x @ w (+ bias).
+def linear_relevance(x, w, z, rel_out, out=None):
+    """Epsilon-rule backward through z = x @ w (+ bias); consumes rel_out.
 
     x: (..., in), w: (in, out), z and rel_out: (..., out); rel_out may
-    have leading batch axes beyond z's.
+    have leading batch axes beyond z's. rel_out is divided in place, so
+    the caller must not read it again. out, when given, is a C-contiguous
+    array of the result's shape that the product is written into.
     """
-    scaled = rel_out / _stab(z)
+    rel_out /= _stab(z)
+    scaled = rel_out.reshape(-1, rel_out.shape[-1])
+    if out is not None:
+        out = out.reshape(len(scaled), -1)
     # one 2-D product: numpy runs a broadcast product with a transposed
     # operand an order of magnitude slower than this
-    back = scaled.reshape(-1, scaled.shape[-1]) @ w.T
-    back = back.reshape(scaled.shape[:-1] + w.shape[:1])
+    back = np.matmul(scaled, w.T, out=out)
+    back = back.reshape(rel_out.shape[:-1] + w.shape[:1])
     back *= x
     return back
 
 
 def _residual_split(a, b, rel_sum):
+    """Shares of a and of b in relevance rel_sum over a + b; consumes rel_sum.
+
+    a's share is rel_sum, scaled in place; b's is a new array.
+    """
     total = _stab(a + b)
-    return a / total * rel_sum, b / total * rel_sum
+    rel_b = b / total * rel_sum
+    rel_sum *= a / total
+    return rel_sum, rel_b
 
 
 def _layer_norm_relevance(cache, rel_out):
@@ -105,7 +123,8 @@ def _layer_norm_relevance(cache, rel_out):
     ln = cache["ln"]
     x = cache["in"] + cache["out"]
     linear_part = ln["gain"] * (x - ln["mean"]) / ln["std"]
-    return linear_part / _stab(ln["out"]) * rel_out
+    rel_out *= linear_part / _stab(ln["out"])
+    return rel_out
 
 
 def _attention_relevance(model, prefix, cache, rel_out):
@@ -120,8 +139,11 @@ def _attention_relevance(model, prefix, cache, rel_out):
     weighted = _heads(rel_ctx, model.heads)  # (H, Tq, dh), a view of rel_ctx
     weighted /= _stab(_heads(cache["ctx"], model.heads))
     rel_v_h = probs.transpose(0, 2, 1) @ weighted  # (H, Tk, dh)
+    del rel_ctx, weighted
     rel_v_h *= _heads(cache["v"], model.heads)
-    return linear_relevance(cache["kv_in"], w[f"{prefix}_wv"], cache["v"], _unheads(rel_v_h))
+    rel_v = _unheads(rel_v_h)
+    del rel_v_h
+    return linear_relevance(cache["kv_in"], w[f"{prefix}_wv"], cache["v"], rel_v)
 
 
 def _ffn_relevance(model, prefix, cache, rel_out):
@@ -129,15 +151,16 @@ def _ffn_relevance(model, prefix, cache, rel_out):
     relu = np.maximum(cache["z1"], 0.0)  # as _ffn computed it
     rel_relu = linear_relevance(relu, w[f"{prefix}_w2"], cache["out"], rel_out)
     del relu  # freed before the w1 product, the backward's largest
-    # ReLU: pass-through (inactive units already carry zero relevance)
-    return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu)
+    # ReLU: pass-through (inactive units already carry zero relevance);
+    # rel_out is spent, so the w1 product is written into it
+    return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu, out=rel_out)
 
 
 def _layer_relevance(model, prefix, sublayers, caches, rel):
     """Backward through one layer of a sublayer table, last sublayer first.
 
     Returns the relevance over the layer input and over the memory that
-    "cross" attends to (None for a table without "cross").
+    "cross" attends to (None for a table without "cross"). Consumes rel.
     """
     rel_memory = None
     for (name, _), cache in zip(reversed(sublayers), reversed(caches)):
@@ -151,6 +174,20 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
         else:
             rel += _attention_relevance(model, sub, cache, rel_sub)
     return rel, rel_memory
+
+
+def _with_context(caches, heads):
+    """One layer's sublayer caches, each attention's with its context "ctx".
+
+    The context is rebuilt as _attention computed it, over all the
+    layer's rows: a product over fewer rows (a block's cut, below) can
+    round differently, so cuts are taken of the rebuilt context.
+    """
+    return [
+        {**cache, "ctx": _unheads(cache["probs"] @ _heads(cache["v"], heads))}
+        if "probs" in cache else cache
+        for cache in caches
+    ]
 
 
 def _live_rows(caches, n):
@@ -218,12 +255,14 @@ def lrp_backward(
     )
     rel = np.zeros((len(rows),) + cache["enc_out"].shape)  # over the encoder output
     for i in reversed(range(model.layers)):
-        caches = _live_rows(cache["dec_layers"][i], last_step)
+        caches = _live_rows(_with_context(cache["dec_layers"][i], model.heads), last_step)
         rel_dec, rel_enc = _layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel += rel_enc
+        del rel_enc
 
     for i in reversed(range(model.layers)):
-        rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
+        caches = _with_context(cache["enc_layers"][i], model.heads)
+        rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, caches, rel)
 
     records = []
     for b, row in enumerate(rows):

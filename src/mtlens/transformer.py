@@ -11,9 +11,10 @@ the last row's next-token logits and the per-sublayer caches, whose
 "logits" hold every row's. Relevance propagation runs it teacher-forced
 over the whole target, once per sentence pair unless a step fails, and
 reads each step's logits and activations from that cache. The cache
-keeps each activation once: a layer norm's input (the residual sum
-in + out) and a ReLU output (max(z1, 0)) are left out, since relevance
-rebuilds them bit for bit from what is kept.
+keeps each activation once, and leaves out what relevance rebuilds bit
+for bit with the forward's own expression: a layer norm's input (the
+residual sum in + out), an attention context (probs @ v, heads merged)
+and a ReLU output (max(z1, 0)).
 
 Weight and vocab files are UTF-8 text read through corpus.read_lines,
 so load errors name the file and line. Weight files are
@@ -304,10 +305,9 @@ def _attention(model, prefix, q_in, kv_in, causal):
         mask = np.triu(np.ones((tq, tq), dtype=bool), k=1)
         scores = np.where(mask[None, :, :], -1e30, scores)
     probs = _softmax(scores)
-    ctx_h = probs @ vh  # (H, Tq, dh)
-    ctx = _unheads(ctx_h)
+    ctx = _unheads(probs @ vh)  # (Tq, d) from (H, Tq, dh)
     out = ctx @ w[f"{prefix}_wo"] + w[f"{prefix}_bo"]
-    return out, {"kv_in": kv_in, "v": v, "probs": probs, "ctx": ctx, "out": out}
+    return out, {"kv_in": kv_in, "v": v, "probs": probs, "out": out}
 
 
 def _ffn(model, prefix, x):
@@ -324,8 +324,8 @@ def _layer(model, prefix, sublayers, x, memory=None):
     holds the sublayer's input "in", its output "out" and its layer
     norm's cache "ln" (per-row "mean" and "std", the "gain" weight and
     the normalized "out"). An attention cache adds the key/value input
-    "kv_in", the values "v", the probabilities "probs" and the context
-    "ctx"; a feed-forward cache adds the pre-activation "z1".
+    "kv_in", the values "v" and the probabilities "probs"; a
+    feed-forward cache adds the pre-activation "z1".
     """
     w = model.weights
     caches = []

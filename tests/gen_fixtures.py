@@ -118,6 +118,9 @@ EMB_PARTIAL = "{DATA}/emb_partial"
 # emb3 with 11 vectors in checkpoint 000200's hyp.emb, and emb3 without src.emb
 EMB_SHORT_HYP = "{DATA}/emb_short_hyp"
 EMB_NO_SRC = "{DATA}/emb_no_src"
+# one pair of 72 source and 76 target tokens: the fixture model (dim 16,
+# ffn 32) runs its 76 steps backward in two blocks, of 53 and 23
+LONG = "{DATA}/long"
 # run3's first two sentences, with a checkpoint whose id holds &, < and >
 XML_NAMES = "{DATA}/xml_names"
 # a small model for vocab.txt with blank lines in its header and between its arrays
@@ -257,6 +260,7 @@ GOLDEN_CLI = (
           "--k", "2", "--csv", "{OUT}/emb_no_src.csv"], False),
         (["report", XML_NAMES, "--metrics", "bleu,ter-vs-ref",
           "--csv", "{OUT}/xml_names.csv", "--svg", "{OUT}/xml_names.svg"], False),
+        (["lrp", *MODEL, LONG + "/src.txt", LONG + "/ref.txt"], True),
     ]
 )
 
@@ -335,6 +339,12 @@ def main():
     write_lines(xml_names / "ref.txt", ref_lines[:2])
     write_lines(xml_names / "checkpoints" / "0100" / "hyp.txt", ckpts["000100"][:2])
     write_lines(xml_names / "checkpoints" / "<0200&>" / "hyp.txt", ref_lines[:2])
+
+    rng = SplitMix64(76)
+    long_src = " ".join(SRC_VOCAB[rng.randrange(10)] for _ in range(72))
+    long_ref = " ".join(REF_VOCAB[rng.randrange(10)] for _ in range(76))
+    write_lines(DATA / "long" / "src.txt", [long_src])
+    write_lines(DATA / "long" / "ref.txt", [long_ref])
 
     layouts = DATA / "layouts"
     for name in ("no_checkpoints", "stray", "no_hyp"):

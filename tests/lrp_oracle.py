@@ -8,10 +8,12 @@ the prefix's last row back through that pass alone. The propagation
 rules are copied here with their shapes of one step, so a change to the
 production rules cannot hide in the oracle. The forward pass is the
 production one: `tests/naive_transformer.py` is its own oracle. Its
-cache keeps neither the layer norm's input nor the ReLU output, so the
-rules here rebuild them as the forward computed them, in + out and
+cache keeps neither the layer norm's input, nor the attention context,
+nor the ReLU output, so the rules here rebuild them as the forward
+computed them, in + out, probs @ v with the heads merged, and
 max(z1, 0), as the production rules do; they allocate every result
-afresh, where the production backward writes into its own temporaries.
+afresh and never write into their arguments, where the production
+backward consumes the relevance it is handed.
 
 all_rows_backward is the batched backward `mtlens.lrp` shipped before
 it cut each block's decoder pass to the rows before the block's last
@@ -62,11 +64,12 @@ def _layer_norm_relevance(cache, rel_out):
 
 def _attention_relevance(model, prefix, cache, rel_out):
     w = model.weights
-    rel_ctx = linear_relevance(cache["ctx"], w[f"{prefix}_wo"], cache["out"], rel_out)
-    ctx_h = _heads(cache["ctx"], model.heads)
-    rel_ctx_h = _heads(rel_ctx, model.heads)
     v_h = _heads(cache["v"], model.heads)
     probs = cache["probs"]  # (H, Tq, Tk)
+    ctx = _unheads(probs @ v_h)  # the context the forward computed
+    rel_ctx = linear_relevance(ctx, w[f"{prefix}_wo"], cache["out"], rel_out)
+    ctx_h = _heads(ctx, model.heads)
+    rel_ctx_h = _heads(rel_ctx, model.heads)
     weighted = rel_ctx_h / _stab(ctx_h)  # (H, Tq, dh)
     rel_v_h = v_h * (probs.transpose(0, 2, 1) @ weighted)  # (H, Tk, dh)
     rel_v = _unheads(rel_v_h)
@@ -183,14 +186,14 @@ def all_rows_backward(model, cache, first_step: int, targets) -> list[RelevanceR
     )
     rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
     for i in reversed(range(model.layers)):
-        rel_dec, rel_enc = lrp._layer_relevance(
-            model, f"dec{i}", DECODER_LAYER, cache["dec_layers"][i], rel_dec
-        )
+        caches = lrp._with_context(cache["dec_layers"][i], model.heads)
+        rel_dec, rel_enc = lrp._layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel_enc_total += rel_enc
 
     rel = rel_enc_total
     for i in reversed(range(model.layers)):
-        rel, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, cache["enc_layers"][i], rel)
+        caches = lrp._with_context(cache["enc_layers"][i], model.heads)
+        rel, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, caches, rel)
 
     records = []
     for b, row in enumerate(rows):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -253,6 +254,26 @@ def test_numeric_failure_prints_one_line_and_no_warning(tmp_path):
     )
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: step 1: non-finite logits in forward pass\n"
+
+
+def test_allocation_failure_prints_one_line(tmp_path):
+    # one attention's scores over a 12,000-token source take 2.3 GB, and the
+    # child alone may map 1 GiB; one BLAS thread keeps its start-up small
+    (tmp_path / "long.txt").write_text(" ".join(["ka"] * 12000) + "\n", encoding="utf-8")
+    argv = ["lrp", "--model", str(DATA_DIR / "fixture.wts"), "--vocab",
+            str(DATA_DIR / "vocab.txt"), str(tmp_path / "long.txt"), str(tmp_path / "long.txt")]
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", "from mtlens.cli import entry; entry()", *argv],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_numeric_failure_names_the_oracles_step(tmp_path, capsys):

@@ -124,11 +124,12 @@ def raw_row_totals(model, src_ids, tgt_ids):
     )
     rel_src = np.zeros((len(steps),) + cache["enc_out"].shape)
     for i in reversed(range(model.layers)):
-        caches = lrp._live_rows(cache["dec_layers"][i], len(steps))
+        layer = lrp._with_context(cache["dec_layers"][i], model.heads)
+        caches = lrp._live_rows(layer, len(steps))
         rel_dec, rel_memory = lrp._layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel_src += rel_memory
     for i in reversed(range(model.layers)):
-        layer = cache["enc_layers"][i]
+        layer = lrp._with_context(cache["enc_layers"][i], model.heads)
         rel_src, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, layer, rel_src)
     seed = (z - model.weights["out_b"][targets]) / lrp._stab(z)
     return seed, rel_src.sum(axis=2), rel_dec.sum(axis=2)
@@ -356,6 +357,18 @@ def test_fixture_pair_matches_per_step_oracle(budget):
     assert_matches_all_rows(got, want, exact=budget >= 1000)
 
 
+def test_long_fixture_pair_runs_in_two_blocks():
+    # the golden `lrp` command on tests/data/long, at the production budget
+    model = load_model(DATA_DIR / "fixture.wts")
+    vocab = load_vocab(DATA_DIR / "vocab.txt")
+    src, tgt = (make_sentence((DATA_DIR / "long" / name).read_text(encoding="utf-8").strip())
+                for name in ("src.txt", "ref.txt"))
+    with mock.patch.object(lrp, "lrp_backward", wraps=lrp.lrp_backward) as backward:
+        records = contributions(model, src, tgt, vocab)
+    assert len(records) == len(tgt.tokens) == 76
+    assert [len(call.args[3]) for call in backward.call_args_list] == [53, 23]
+
+
 # -- live decoder rows against the all-rows batched backward -----------------
 
 
@@ -444,9 +457,10 @@ def test_decoder_backward_carries_live_rows_only():
 # -- what the forward keeps for the backward ----------------------------------
 
 # The backward reads each sublayer's input, output and layer norm (whose
-# input it rebuilds as in + out), an attention's value path and a
-# feed-forward's pre-activation (whose ReLU it rebuilds); nothing else is kept.
-ATTENTION_KEYS = {"in", "out", "ln", "kv_in", "v", "probs", "ctx"}
+# input it rebuilds as in + out), an attention's value path (whose context
+# it rebuilds as probs @ v) and a feed-forward's pre-activation (whose ReLU
+# it rebuilds); nothing else is kept.
+ATTENTION_KEYS = {"in", "out", "ln", "kv_in", "v", "probs"}
 CACHE_KEYS = {"attn": ATTENTION_KEYS, "self": ATTENTION_KEYS, "cross": ATTENTION_KEYS,
               "ffn": {"in", "out", "ln", "z1"}}
 LN_KEYS = {"mean", "std", "gain", "out"}
@@ -468,19 +482,51 @@ def test_sublayer_caches_hold_exactly_what_the_backward_reads():
     model = toy_model(seed=8)
     src, tgt = VOCAB.encode(["w1", "w2", "w3"]), VOCAB.encode(["w4", "w5", "w6", "w7"])
     _, cache = forward(model, src, [BOS_ID] + tgt[:-1])
-    logged = []
     for side, table in (("enc_layers", ENCODER_LAYER), ("dec_layers", DECODER_LAYER)):
         for layer in cache[side]:
-            for j, (name, _) in enumerate(table):
-                layer[j] = ReadLog({**layer[j], "ln": ReadLog(layer[j]["ln"])})
-                logged.append((name, layer[j], dict.__getitem__(layer[j], "ln")))
-    # every step in one block: the decoder rows kept are all of them, so
-    # the cached dicts themselves go backward instead of _live_rows' cuts
-    with mock.patch.object(lrp, "_live_rows", lambda caches, n: caches):
+            for (name, _), sub in zip(table, layer):
+                assert set(sub) == CACHE_KEYS[name], name
+                assert set(sub["ln"]) == LN_KEYS, name
+    logged = []
+    real = lrp._layer_relevance
+
+    def spy(model, prefix, sublayers, caches, rel):
+        caches = [ReadLog({**sub, "ln": ReadLog(sub["ln"])}) for sub in caches]
+        logged.extend(zip([name for name, _ in sublayers], caches))
+        return real(model, prefix, sublayers, caches, rel)
+
+    with mock.patch.object(lrp, "_layer_relevance", spy):
         lrp_backward(model, cache, 1, cache["logits"].argmax(axis=1))
-    for name, sub, ln in logged:
-        assert set(sub) == sub.read == CACHE_KEYS[name], name
-        assert set(ln) == ln.read == LN_KEYS, name
+    assert len(logged) == model.layers * (len(ENCODER_LAYER) + len(DECODER_LAYER))
+    for name, sub in logged:
+        # the rules read the kept arrays and the attention context rebuilt for them
+        rebuilt = set() if name == "ffn" else {"ctx"}
+        assert set(sub) == sub.read == CACHE_KEYS[name] | rebuilt, name
+        assert dict.__getitem__(sub, "ln").read == LN_KEYS, name
+
+
+def freeze(node):
+    """Mark every array in a cache or weight dict read-only, and the arrays it views."""
+    while isinstance(node, np.ndarray):
+        node.flags.writeable = False
+        node = node.base
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            freeze(child)
+
+
+def test_backward_writes_into_neither_the_cache_nor_the_weights():
+    model = toy_model(seed=12)
+    src, tgt = VOCAB.encode(WORDS[:5]), VOCAB.encode(WORDS[5:12])
+    _, cache = forward(model, src, [BOS_ID] + tgt[:-1])
+    targets = cache["logits"].argmax(axis=1)
+    # every step in one block, then blocks of three, whose decoder caches are cut
+    blocks = [(1, targets)] + [(s + 1, targets[s : s + 3]) for s in range(0, len(targets), 3)]
+    want = [lrp_backward(model, cache, first, steps) for first, steps in blocks]
+    freeze(cache)
+    freeze(model.weights)
+    for (first, steps), records in zip(blocks, want):
+        assert_matches_all_rows(lrp_backward(model, cache, first, steps), records, exact=True)
 
 
 def kept_bytes(cache, weights):
@@ -521,12 +567,13 @@ def test_contributions_memory_is_the_cache_plus_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # At most five blocks are live at once, in a decoder feed-forward:
-    # the caller's relevance, the sum over the encoder output and the
-    # previous layer's share of it (half a block each, d = ffn / 2 wide),
-    # the residual split's two halves, the ReLU output's relevance, its
-    # scaled copy and the product back. With row-sized temporaries this
-    # peaks 5.7 blocks past the cache. Caching the layer-norm input and the
-    # ReLU output too (0.44 block here) and allocating every product and
-    # sum afresh peaked 7.7 blocks past it.
-    assert peak < kept + 6.5 * block
+    # At most three blocks are live at once, in a decoder self-attention,
+    # as six arrays of half a block (d = ffn / 2 wide): the caller's
+    # relevance, the sum over the encoder output, the cross-attention's
+    # share of it, the residual share the rule was handed (spent by then),
+    # the value relevance and the product back. With row-sized temporaries
+    # this peaks 3.25 blocks past the cache. With every rule allocating its
+    # result afresh and the context cached, the peak was 5.7 blocks, in a
+    # decoder feed-forward; caching the layer-norm input and the ReLU output
+    # too (0.44 block here) and allocating every sum afresh, 7.7 blocks.
+    assert peak < kept + 3.5 * block
