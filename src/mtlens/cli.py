@@ -4,8 +4,8 @@ One binary, subcommand style. Subcommands return a JSON payload, text
 or None, and main writes it to stdout (or --out); --format text prints
 a payload's headline value alone, empty when undefined. Diagnostics go
 to stderr. Exit codes: 0 success, 1 usage error, 2 data/contract error,
-3 numeric failure. Every randomized path takes an explicit --seed;
-nothing is seeded from the clock.
+3 numeric failure, 4 out of memory (a MemoryError). Every randomized
+path takes an explicit --seed; nothing is seeded from the clock.
 """
 
 import argparse

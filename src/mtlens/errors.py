@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps them to exit codes: usage 1, data/contract 2, numeric 3.
+The CLI maps them to exit codes: usage 1, data/contract 2, numeric 3;
+it maps MemoryError to 4.
 """
 
 

@@ -25,12 +25,12 @@ the n * n cells of a second product. That first tile is the dense
 prefix. It enters a (k, n) array of each column's k largest so far,
 largest first, one row at a time by compare-exchange down the k slots.
 After that each tile is compared, in bands of BAND_ELEMENTS cells,
-with its columns' k-th values, and only the cells strictly greater are
-kept: a cell equal to the k-th value cannot change the sum. Every
-MERGE_BATCH such cells enter by the same compare-exchange, in rounds:
-each round takes every hit column's first pending cell, until none is
-left. For rows in random order about k n ln(n / rows) cells are merged,
-whatever the dimension. Each column's k values are then copied to a
+with its columns' k-th values. Only a column with a cell strictly
+greater is hit (a cell equal to the k-th value cannot change the sum):
+its k values are sorted together with its cells in the band, and the k
+largest kept, before the next band is compared. For rows in random
+order about k n ln(n / rows) cells are above their k-th value, whatever
+the dimension. Each column's k values are then copied to a
 contiguous ascending row and summed in reverse, exactly as a row of
 the x-side is, so that both sides round alike.
 
@@ -39,16 +39,16 @@ yn @ xn.T summed as the x-side is: one tile holds every row, or k is
 too large for the merge to pay. The seed-1 scoring set (n = 8192,
 k = 4) merges after a 256-row prefix; the report benchmark's sets
 (n = 72) are one tile. The merge also gives up, and the second
-product runs, once the merged cells pass GIVE_UP times their
-random-order expectation for the rows seen so far, plus n. That guard
-bounds only adversarial row orders, such as a set built so that the
-cosines rise down every column, which could make every cell a
-candidate; no real embedding file is known to need it.
+product runs, once the cells above their k-th value pass GIVE_UP times
+their random-order expectation for the rows seen so far, plus n. That
+guard bounds only adversarial row orders, such as a set built so that
+the cosines rise down every column, which could put every cell above
+its k-th value; no real embedding file is known to need it.
 
 Memory beyond the two normalised input copies is one tile (16 MB), in
 which each row's k largest are sorted in place, and a few length-n
 vectors at every k; one product adds the (k, n) array (k < sqrt(n))
-and a band or batch of candidates.
+and one band's hit columns.
 
 The two paths give the same bits when each cell (i, j) of xn @ yn.T
 equals cell (j, i) of yn @ xn.T, the same dot product of the same two
@@ -82,11 +82,9 @@ from .series import mean_or_none
 TILE_ELEMENTS = 1 << 21
 # cells of a tile compared at once with their columns' k-th values
 BAND_ELEMENTS = 1 << 16
-# candidate cells gathered before they are merged into the column top-k
-MERGE_BATCH = 1 << 9
-# the y-side falls back to a second product once the merged cells pass
-# GIVE_UP times their expectation for rows in random order, plus n; this
-# guards only against adversarial row orders
+# the y-side falls back to a second product once the cells above their k-th
+# value pass GIVE_UP times their expectation for rows in random order, plus n;
+# this guards only against adversarial row orders
 GIVE_UP = 2.0
 
 
@@ -108,6 +106,8 @@ def embedding_set(vectors) -> EmbeddingSet:
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"embeddings must be 2-D, got shape {arr.shape}")
+    if arr.shape[1] < 1:
+        raise DataError(f"embeddings need at least one component, got shape {arr.shape}")
     bad = _nonfinite_row(arr)
     if bad is not None:
         raise DataError(f"non-finite embedding component at row {bad}")
@@ -157,21 +157,18 @@ def _top_k_sums(
 class _ColumnTopK:
     """Each column's k largest values over the tiles added so far.
 
-    top[:, j] holds column j's k largest, largest first, and every value
-    enters by compare-exchange down the k slots. The first tile enters
-    whole, one row at a time. Of later tiles only the cells strictly
-    above their column's k-th value top[k - 1, j] are kept, and each
-    batch of them enters in rounds of one cell per hit column.
+    top[:, j] holds column j's k largest, largest first. The first tile
+    enters whole, one row at a time by compare-exchange down the k slots.
+    Later tiles come in bands: each column with a cell strictly above its
+    k-th value top[k - 1, j] sorts its k values together with its cells
+    in the band and keeps the k largest.
     """
 
     def __init__(self, n: int, k: int):
         self.top = np.full((k, n), -np.inf)
         self.dense_rows = 0  # rows of the first tile
-        self.merged = 0  # cells merged after the first tile
+        self.merged = 0  # cells above their column's k-th value after the first tile
         self.given_up = False
-        self.cells: list[np.ndarray] = []  # candidates not yet merged
-        self.vals: list[np.ndarray] = []
-        self.pending = 0
 
     def add(self, tile: np.ndarray, start: int) -> None:
         """Merge the tile whose first row is row start of the product."""
@@ -186,43 +183,23 @@ class _ColumnTopK:
         band_rows = max(1, BAND_ELEMENTS // n)
         for b in range(0, len(tile), band_rows):
             band = tile[b : b + band_rows]
-            cells = np.flatnonzero(band > self.top[-1])  # cell i * n + j is in column j
-            if not cells.size:
-                continue
-            self.merged += cells.size
+            hit = np.flatnonzero((band > self.top[-1]).any(axis=0))
+            # each hit column's k values, largest first, over its cells in the band
+            block = np.concatenate((self.top.take(hit, axis=1), band.take(hit, axis=1)))
+            self.merged += np.count_nonzero(block[k:] > block[k - 1])
             expected = k * n * math.log((start + b + len(band)) / self.dense_rows)
             if self.merged > GIVE_UP * expected + n:
                 self.given_up = True
-                self.cells, self.vals = [], []
                 return
-            self.cells.append(cells)
-            self.vals.append(band.take(cells))
-            self.pending += cells.size
-            if self.pending >= MERGE_BATCH:
-                self._merge_batch()
+            block.sort(axis=0)
+            self.top[:, hit] = block[: -k - 1 : -1]
+            del block  # before the next band's comparison: one band's buffers at a time
 
     def sums(self) -> np.ndarray:
         """Per column, the sum of its k largest values, largest first."""
-        self._merge_batch()
         # each column's k values as a contiguous ascending row, summed in reverse like a tile row's
         ascending = np.ascontiguousarray(self.top[::-1].T)
         return ascending[:, ::-1].sum(axis=1)
-
-    def _merge_batch(self) -> None:
-        """Merge the pending candidates in rounds, each column's first pending one a round."""
-        if not self.pending:
-            return
-        cols = np.concatenate(self.cells) % self.top.shape[1]
-        vals = np.concatenate(self.vals)
-        self.cells, self.vals, self.pending = [], [], 0
-        while cols.size:
-            hit, first = np.unique(cols, return_index=True)
-            block = self.top.take(hit, axis=1)
-            _compare_exchange(block, vals[first])
-            self.top[:, hit] = block
-            rest = np.ones(cols.size, dtype=bool)  # the candidates left for later rounds
-            rest[first] = False
-            cols, vals = cols[rest], vals[rest]
 
 
 def _compare_exchange(top: np.ndarray, v: np.ndarray) -> None:

@@ -118,6 +118,9 @@ EMB_PARTIAL = "{DATA}/emb_partial"
 # emb3 with 11 vectors in checkpoint 000200's hyp.emb, and emb3 without src.emb
 EMB_SHORT_HYP = "{DATA}/emb_short_hyp"
 EMB_NO_SRC = "{DATA}/emb_no_src"
+# 2,100 aligned vectors of small integers, so cosines tie: at k = 2 the y-side
+# merges from the x-side tiles, 998 + 998 + 104 rows
+EMB_TILES = "{DATA}/emb_tiles"
 # one pair of 72 source and 76 target tokens: the fixture model (dim 16,
 # ffn 32) runs its 76 steps backward in two blocks, of 53 and 23
 LONG = "{DATA}/long"
@@ -261,6 +264,8 @@ GOLDEN_CLI = (
         (["report", XML_NAMES, "--metrics", "bleu,ter-vs-ref",
           "--csv", "{OUT}/xml_names.csv", "--svg", "{OUT}/xml_names.svg"], False),
         (["lrp", *MODEL, LONG + "/src.txt", LONG + "/ref.txt"], True),
+        (["rmss", "--k", "2", EMB_TILES + "/ref.emb", EMB_TILES + "/hyp.emb",
+          "--per-sentence", "{OUT}/rmss_tiles.json"], True),
     ]
 )
 
@@ -400,6 +405,12 @@ def main():
                 (DATA / name / rel).write_bytes(path.read_bytes())
     save_embeddings(corpus_embeddings(ckpts["000200"][:11], "hyp@000200"),
                     DATA / "emb_short_hyp" / "checkpoints" / "000200" / "hyp.emb")
+
+    rng = SplitMix64(2100)
+    (DATA / "emb_tiles").mkdir(exist_ok=True)
+    for name in ("ref.emb", "hyp.emb"):
+        rows = [[float(1 + rng.randrange(9)) for _ in range(EMB_DIM)] for _ in range(2100)]
+        save_embeddings(embedding_set(rows), DATA / "emb_tiles" / name)
 
     src_corpus = load_corpus(run / "src.txt")
     ref_corpus = load_corpus(run / "ref.txt")

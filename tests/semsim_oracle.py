@@ -18,12 +18,6 @@ two_product_rmss, and the two oracles each other wherever the two
 products' cells agree (cells_agree). They need not: a BLAS kernel may
 round a cell differently by its place in the tile, as OpenBLAS does in
 the last columns when n is not a multiple of its kernel width.
-
-merge_batch is the batch merge of `mtlens.semsim._ColumnTopK` shipped
-before candidates entered the column top-k by compare-exchange: each
-hit column sorts its k values together with all of its candidates,
-padded with -inf, and keeps the k largest. The compare-exchange rounds
-must leave the same top array, bit for bit.
 """
 
 import numpy as np
@@ -145,23 +139,3 @@ def column_rmss(x_set: EmbeddingSet, y_set: EmbeddingSet, k: int) -> RmssResult:
     columns = np.ascontiguousarray(x_side_cells(xn, yn).T)
     top = np.sort(np.sort(columns, axis=1)[:, n - k :], axis=1)  # C-contiguous, as in _top_k_sums
     return rmss_result(paired, x_top, top[:, ::-1].sum(axis=1), k)
-
-
-def merge_batch(top: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Merge candidate vals, in columns cols, into top ((k, n), largest first) in place."""
-    k, n = top.shape
-    order = np.argsort(cols)
-    cols = cols[order]
-    first = np.empty(cols.size, dtype=bool)  # first candidate of its column
-    first[0] = True
-    np.not_equal(cols[1:], cols[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    rank = np.arange(cols.size) - starts[group]
-    hit = cols[starts]
-    # per hit column: its k values, its candidates, and -inf padding
-    block = np.full((hit.size, k + 1 + int(rank.max())), -np.inf)
-    block[:, :k] = top[:, hit].T
-    block[group, k + rank] = vals[order]
-    block.sort(axis=1)
-    top[:, hit] = block[:, : -k - 1 : -1].T

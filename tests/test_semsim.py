@@ -124,6 +124,7 @@ def test_rmss_zero_row_rejected():
         ([[[1.0]]], r"^embeddings must be 2-D, got shape \(1, 1, 1\)$"),
         ([[1.0, 0.0], [0.0, math.nan]], "^non-finite embedding component at row 1$"),
         ([[-math.inf, 0.0]], "^non-finite embedding component at row 0$"),
+        ([[]], r"^embeddings need at least one component, got shape \(1, 0\)$"),
     ],
 )
 def test_embedding_set_refuses(vectors, message):
@@ -234,14 +235,13 @@ def merged_rmss(x, y, k):
     return semsim_oracle.rmss_result(paired, x_top, columns.sums(), k)
 
 
-def check_merged_rmss(x, y, k, tile_rows, band_rows, batch, give_up):
+def check_merged_rmss(x, y, k, tile_rows, band_rows, give_up):
     """The merge equals column_rmss, and rmss the oracle of its path, bit for bit."""
     n = x.count
     with mock.patch.multiple(
         semsim,
         TILE_ELEMENTS=tile_rows * n,
         BAND_ELEMENTS=band_rows * n,
-        MERGE_BATCH=batch,
         GIVE_UP=give_up,
     ):
         columns = semsim_oracle.column_rmss(x, y, k)
@@ -256,21 +256,21 @@ def check_merged_rmss(x, y, k, tile_rows, band_rows, batch, give_up):
 
 
 def merge_settings(n, k):
-    """(tile rows, band rows, batch, give-up multiple) to try.
+    """(tile rows, band rows, give-up multiple) to try.
 
     One-row tiles, tiles of fewer than k rows, of k rows and of rows that
-    do not divide n, one-row bands, a merge per band or one at the end,
-    and the default give-up rule. merged_rmss runs the merge at every
-    setting; rmss runs it where the path rule says so.
+    do not divide n, one-row bands and bands of a whole tile, and the
+    default give-up rule. merged_rmss runs the merge at every setting;
+    rmss runs it where the path rule says so.
     """
     half = n // 2 + 1
     return (
-        (1, 1, 1, math.inf),
-        (max(1, k - 1), 2, 1 << 20, math.inf),
-        (k, 1, 3, math.inf),
-        (half, half, 1, math.inf),
-        (3, 2, 5, semsim.GIVE_UP),
-        (half, 1, 1, semsim.GIVE_UP),
+        (1, 1, math.inf),
+        (max(1, k - 1), 2, math.inf),
+        (k, 1, math.inf),
+        (half, half, math.inf),
+        (3, 2, semsim.GIVE_UP),
+        (half, 1, semsim.GIVE_UP),
     )
 
 
@@ -290,59 +290,63 @@ def test_merged_y_side_equals_two_products(case):
 
 
 @st.composite
-def pending_batches(draw):
-    """A (k, n) column top-k, largest first, and a batch of candidates for it.
+def banded_tiles(draw):
+    """Cells of a product with n columns, its tile heights, a k and a band height.
 
-    Values are small integers, so candidates tie with each other and with
-    the k-th values; a column may still hold -inf slots, and with up to
-    four candidates per slot a column can be hit more than k times. The
-    batch comes as flat cell ids i * n + j in one or two lists, as bands
-    leave it.
+    Values are small integers, so cells tie with each other and with the
+    k-th values. A first tile of fewer than k rows leaves -inf slots
+    open, and a band taller than k can hit a column more than k times.
     """
     k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    values = st.integers(-3, 3).map(float)
-    top = np.full((k, n), -np.inf)
-    for j in range(n):
-        filled = sorted(draw(st.lists(values, max_size=k)), reverse=True)
-        top[: len(filled), j] = filled
-    size = draw(st.integers(1, 4 * k * n))
-    cols = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
-    vals = np.array(draw(st.lists(values, min_size=size, max_size=size)))
-    split = draw(st.integers(0, size - 1))
-    return top, cols, vals, split
+    heights = [draw(st.integers(1, k + 1)), *draw(st.lists(st.integers(1, 9), max_size=3))]
+    size = sum(heights) * n
+    cells = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return hand_tiles(np.reshape(cells, (-1, n)), heights, k, draw(st.integers(1, 6)))
 
 
-def hand_batch(top, cols, vals):
-    return np.array(top, dtype=float), np.array(cols), np.array(vals, dtype=float), 0
+def hand_tiles(cells, heights, k, band_rows):
+    return np.array(cells, dtype=float), heights, k, band_rows
+
+
+def kth_largest(cells, k):
+    """Per column of cells, its k-th largest value; -inf where it has fewer than k."""
+    if len(cells) < k:
+        return np.full(cells.shape[1], -np.inf)
+    return np.sort(cells, axis=0)[-k]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=pending_batches())
-# k = 1, column 0 hit three times, a tie with its value
-@example(case=hand_batch([[2.0, -np.inf]], [0, 1, 0, 0], [3.0, 1.0, 2.0, 5.0]))
-# column 1 hit five times with k = 3, slots still -inf, ties with the k-th value
+@given(case=banded_tiles())
+# k = 3: one dense row leaves two -inf slots, a five-row band hits both
+# columns five times, and cells tie with the kept values
+@example(case=hand_tiles([[1, 2], [1, 0], [3, 2], [2, 2], [3, -1], [1, 2]], [1, 5], 3, 5))
+# k = 2, one-row bands, cells tying with the k-th value in every column
 @example(
-    case=hand_batch(
-        [[1.0, 2.0], [0.0, -np.inf], [0.0, -np.inf]],
-        [1, 0, 1, 1, 1, 0, 1],
-        [2.0, 0.0, 2.0, -1.0, 3.0, 1.0, 2.0],
+    case=hand_tiles(
+        [[2, 1, 0], [1, 1, 0], [1, 2, 0], [3, 1, 0], [2, 2, -1], [1, 3, 0]], [2, 3, 1], 2, 1
     )
 )
-def test_merge_batch_equals_sort_and_pad_merge(case):
-    # the compare-exchange rounds leave the top array of the batch sort, bit for bit
-    top, cols, vals, split = case
-    want = top.copy()
-    semsim_oracle.merge_batch(want, cols, vals)
-    k, n = top.shape
+def test_band_merge_equals_sorting_each_column(case):
+    # each column's k largest, largest first, whichever way its cells entered
+    cells, heights, k, band_rows = case
+    n = cells.shape[1]
     columns = semsim._ColumnTopK(n, k)
-    columns.top[:] = top
-    cells = cols + n * np.arange(cols.size)
-    columns.cells = [cells[:split], cells[split:]]
-    columns.vals = [vals[:split], vals[split:]]
-    columns.pending = cols.size
-    columns._merge_batch()
+    want_merged = 0
+    with mock.patch.multiple(semsim, BAND_ELEMENTS=band_rows * n, GIVE_UP=math.inf):
+        start = 0
+        for height in heights:
+            tile = cells[start : start + height]
+            columns.add(tile.copy(), start)
+            if start:  # a later tile: count its cells above the k-th value before their band
+                for b in range(0, height, band_rows):
+                    band = tile[b : b + band_rows]
+                    want_merged += np.count_nonzero(band > kth_largest(cells[: start + b], k))
+            start += height
+    want = np.full((k, n), -np.inf)
+    ranked = np.sort(cells, axis=0)[::-1][:k]
+    want[: len(ranked)] = ranked
     assert columns.top.tobytes() == want.tobytes()
-    assert columns.pending == 0 and not columns.cells
+    assert columns.merged == want_merged
 
 
 def rising_columns(n, dim, rng):
