@@ -1,18 +1,21 @@
 """Sentence corpora and checkpoint-run layouts.
 
 File contract: every text input is UTF-8 with LF line ends; a CR
-before an LF is ignored. read_lines() is the one reader behind every
-loader, so each loader error names the file and, where there is one,
-the line; read_array() is the one parser of the numeric rows in
-weight and embedding files. Every output file is UTF-8 with LF line
-ends, written whole by write_text(). Corpora hold one sentence per
-line. A run directory holds src.txt, ref.txt and checkpoints/<id>/hyp.txt.
-Tokenization is whitespace splitting after Unicode NFC normalization;
-empty lines become zero-token sentences so line pairing across files
-is preserved. ranges() packs whole sentences, or sentence pairs, into
-bounded blocks for the code that walks a corpus in pieces.
+before an LF is ignored, and so is a byte-order mark that opens a
+file. read_lines() is the one reader behind every loader, so each
+loader error names the file and, where there is one, the line;
+read_array() is the one parser of the numeric rows in weight and
+embedding files. Every output file is UTF-8 with LF line ends,
+written whole by write_text(), whose errors name the file. Corpora
+hold one sentence per line. A run directory holds src.txt, ref.txt
+and checkpoints/<id>/hyp.txt. Tokenization is whitespace splitting
+after Unicode NFC normalization; empty lines become zero-token
+sentences so line pairing across files is preserved. ranges() packs
+whole sentences, or sentence pairs, into bounded blocks for the code
+that walks a corpus in pieces.
 """
 
+import codecs
 import contextlib
 import os
 import unicodedata
@@ -51,7 +54,8 @@ def read_lines(path):
     """Yield (line number, text) for each line of a UTF-8 text file.
 
     Lines end only at LF; the LF is dropped, and so is a CR just before
-    it or at the end of the file. The file is streamed, never held
+    it or at the end of the file. One byte-order mark (U+FEFF) at the
+    start of the file is dropped too. The file is streamed, never held
     whole. A line that is not UTF-8, or a file that cannot be opened,
     raises a DataError naming the path.
     """
@@ -60,6 +64,8 @@ def read_lines(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
+        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+            fh.read(len(codecs.BOM_UTF8))
         for lineno, raw in enumerate(fh, start=1):
             try:
                 text = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
@@ -71,9 +77,16 @@ def read_lines(path):
 
 
 def write_text(path, text: str) -> None:
-    """Replace the file at path with text, as UTF-8 with LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Replace the file at path with text, as UTF-8 with LF line ends.
+
+    A file that cannot be opened or written raises a DataError naming
+    the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def read_array(path, lines, nrows, ncols):

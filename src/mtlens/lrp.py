@@ -28,26 +28,28 @@ arrays stay small. Decoder rows at or past a step stay exact zeros in
 that step's relevance: its seed is 0 there, every rule maps a zero row
 to a zero row, and the masked attention probabilities are exactly 0,
 so no later row passes anything to an earlier one. So a block carries
-only the decoder rows before its last step backward: each decoder
-layer gets its caches cut to those rows (views, no copies), while
-cross-attention keeps the whole encoder memory. The results differ
-from one pass per step only by floating-point rounding.
+only the decoder rows before its last step backward: _backward_caches
+cuts each decoder layer's caches to those rows (views, no copies),
+while cross-attention keeps the whole encoder memory, and hands the
+encoder layers all their rows. The results differ from one pass per
+step only by floating-point rounding.
 
 The forward cache keeps each activation once, so the backward rebuilds
 the three values it does not keep with the expressions the forward
 evaluated, bit for bit: a layer norm's input as the sublayer's
 in + out, an attention context as probs @ v with its heads merged,
-and the ReLU output as max(z1, 0). A context is rebuilt for one layer
-at a time over all its rows, and cut after: a product over fewer rows
-can round differently. Each rule consumes the relevance it is handed
-(the layer-norm factor, the input's residual share and the epsilon
-rule's division scale it in place, and a feed-forward writes its w1
-product into its spent residual share), and the backward never writes
-into a cache array or a weight. With ffn = 2 x dim, a block's working
-set peaks in a decoder self-attention at six relevance arrays of dim
-columns: the layer's relevance, the sum over the encoder output and
-the cross-attention's share of it, the spent residual share, the
-value relevance and its product.
+and the ReLU output as max(z1, 0). _backward_caches rebuilds a layer's
+contexts over all its rows before it cuts them: a product over fewer
+rows can round differently. Each rule consumes the relevance it is
+handed: _norm_and_residual scales it in place by the layer-norm factor
+and then into the input's residual share, and the epsilon rule divides
+it in place. The backward never writes into a cache array or a weight.
+With ffn = 2 x dim, a block's working set peaks at six relevance arrays
+of dim columns, in a decoder self-attention: the layer's relevance, the
+sum over the encoder output and the cross-attention's share of it, the
+spent residual share, the value relevance and its product. A decoder
+feed-forward's w1 product reaches the same six, the ffn-wide relevance
+counting twice.
 
 Conservation is not enforced per layer. After the backward pass each
 input token's contribution is aggregated over its embedding neurons
@@ -84,47 +86,41 @@ def _stab(z):
     return z + EPS * np.where(z >= 0.0, 1.0, -1.0)
 
 
-def linear_relevance(x, w, z, rel_out, out=None):
+def linear_relevance(x, w, z, rel_out):
     """Epsilon-rule backward through z = x @ w (+ bias); consumes rel_out.
 
     x: (..., in), w: (in, out), z and rel_out: (..., out); rel_out may
     have leading batch axes beyond z's. rel_out is divided in place, so
-    the caller must not read it again. out, when given, is a C-contiguous
-    array of the result's shape that the product is written into.
+    the caller must not read it again.
     """
     rel_out /= _stab(z)
     scaled = rel_out.reshape(-1, rel_out.shape[-1])
-    if out is not None:
-        out = out.reshape(len(scaled), -1)
     # one 2-D product: numpy runs a broadcast product with a transposed
     # operand an order of magnitude slower than this
-    back = np.matmul(scaled, w.T, out=out)
-    back = back.reshape(rel_out.shape[:-1] + w.shape[:1])
+    back = np.matmul(scaled, w.T).reshape(rel_out.shape[:-1] + w.shape[:1])
     back *= x
     return back
 
 
-def _residual_split(a, b, rel_sum):
-    """Shares of a and of b in relevance rel_sum over a + b; consumes rel_sum.
+def _norm_and_residual(cache, rel):
+    """Backward through a sublayer's layer norm and residual sum; consumes rel.
 
-    a's share is rel_sum, scaled in place; b's is a new array.
+    The layer norm is a frozen affine map: its linear term acts on the
+    centered input (the cached mean is a constant input shift), so each
+    unit keeps the share of its output not owed to the layer-norm bias.
+    Its input is the residual sum in + out, rebuilt as _layer formed it,
+    and splits relevance in proportion to each addend over the
+    stabilized sum. rel is scaled in place into the input's share; the
+    sublayer output's share is returned as a new array.
     """
-    total = _stab(a + b)
-    rel_b = b / total * rel_sum
-    rel_sum *= a / total
-    return rel_sum, rel_b
-
-
-def _layer_norm_relevance(cache, rel_out):
-    # frozen affine map: the linear term acts on the centered input
-    # (the cached mean is a constant input shift), so each unit keeps
-    # the share of its output not owed to the layer-norm bias; the
-    # input is the residual sum, rebuilt as _layer formed it
     ln = cache["ln"]
     x = cache["in"] + cache["out"]
     linear_part = ln["gain"] * (x - ln["mean"]) / ln["std"]
-    rel_out *= linear_part / _stab(ln["out"])
-    return rel_out
+    rel *= linear_part / _stab(ln["out"])
+    total = _stab(x)
+    rel_sub = cache["out"] / total * rel
+    rel *= cache["in"] / total
+    return rel_sub
 
 
 def _attention_relevance(model, prefix, cache, rel_out):
@@ -150,10 +146,9 @@ def _ffn_relevance(model, prefix, cache, rel_out):
     w = model.weights
     relu = np.maximum(cache["z1"], 0.0)  # as _ffn computed it
     rel_relu = linear_relevance(relu, w[f"{prefix}_w2"], cache["out"], rel_out)
-    del relu  # freed before the w1 product, the backward's largest
-    # ReLU: pass-through (inactive units already carry zero relevance);
-    # rel_out is spent, so the w1 product is written into it
-    return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu, out=rel_out)
+    del relu  # freed before the w1 product
+    # ReLU: pass-through (inactive units already carry zero relevance)
+    return linear_relevance(cache["in"], w[f"{prefix}_w1"], cache["z1"], rel_relu)
 
 
 def _layer_relevance(model, prefix, sublayers, caches, rel):
@@ -165,7 +160,7 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
     rel_memory = None
     for (name, _), cache in zip(reversed(sublayers), reversed(caches)):
         sub = f"{prefix}_{name}"
-        rel, rel_sub = _residual_split(cache["in"], cache["out"], _layer_norm_relevance(cache, rel))
+        rel_sub = _norm_and_residual(cache, rel)
         if name == "ffn":
             rel += _ffn_relevance(model, sub, cache, rel_sub)
         elif name == "cross":
@@ -176,36 +171,27 @@ def _layer_relevance(model, prefix, sublayers, caches, rel):
     return rel, rel_memory
 
 
-def _with_context(caches, heads):
-    """One layer's sublayer caches, each attention's with its context "ctx".
+def _backward_caches(caches, sublayers, heads, rows):
+    """One layer's sublayer caches cut to their first rows rows (views).
 
-    The context is rebuilt as _attention computed it, over all the
-    layer's rows: a product over fewer rows (a block's cut, below) can
-    round differently, so cuts are taken of the rebuilt context.
-    """
-    return [
-        {**cache, "ctx": _unheads(cache["probs"] @ _heads(cache["v"], heads))}
-        if "probs" in cache else cache
-        for cache in caches
-    ]
-
-
-def _live_rows(caches, n):
-    """One decoder layer's sublayer caches cut to their first n rows (views).
-
-    Cross-attention keeps the encoder memory it attends to (kv_in, v)
-    whole; the layer-norm gain is per unit, not per row.
+    Each attention's cache gains its context "ctx", rebuilt as _attention
+    computed it over all the layer's rows and cut after: a product over
+    fewer rows can round differently. Cross-attention keeps the encoder
+    memory it attends to (kv_in, v) whole; the layer-norm gain is per
+    unit, not per row.
     """
     cut = []
-    for (name, _), cache in zip(DECODER_LAYER, caches):
-        rows = {key: value[:n] for key, value in cache.items() if key not in ("ln", "probs")}
+    for (name, _), cache in zip(sublayers, caches):
+        view = {key: value[:rows] for key, value in cache.items() if key not in ("ln", "probs")}
         ln = cache["ln"]
-        rows["ln"] = {key: value if key == "gain" else value[:n] for key, value in ln.items()}
-        if name == "self":
-            rows["probs"] = cache["probs"][:, :n, :n]
-        elif name == "cross":
-            rows.update(kv_in=cache["kv_in"], v=cache["v"], probs=cache["probs"][:, :n])
-        cut.append(rows)
+        view["ln"] = {key: value if key == "gain" else value[:rows] for key, value in ln.items()}
+        if "probs" in cache:
+            view["ctx"] = _unheads(cache["probs"] @ _heads(cache["v"], heads))[:rows]
+            if name == "cross":
+                view.update(kv_in=cache["kv_in"], v=cache["v"], probs=cache["probs"][:, :rows])
+            else:
+                view["probs"] = cache["probs"][:, :rows, :rows]
+        cut.append(view)
     return cut
 
 
@@ -255,13 +241,14 @@ def lrp_backward(
     )
     rel = np.zeros((len(rows),) + cache["enc_out"].shape)  # over the encoder output
     for i in reversed(range(model.layers)):
-        caches = _live_rows(_with_context(cache["dec_layers"][i], model.heads), last_step)
+        caches = _backward_caches(cache["dec_layers"][i], DECODER_LAYER, model.heads, last_step)
         rel_dec, rel_enc = _layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel += rel_enc
         del rel_enc
 
+    n_src = cache["enc_out"].shape[0]
     for i in reversed(range(model.layers)):
-        caches = _with_context(cache["enc_layers"][i], model.heads)
+        caches = _backward_caches(cache["enc_layers"][i], ENCODER_LAYER, model.heads, n_src)
         rel, _ = _layer_relevance(model, f"enc{i}", ENCODER_LAYER, caches, rel)
 
     records = []
@@ -280,7 +267,6 @@ def lrp_backward(
         if total <= 0.0:
             raise NumericError(f"step {step}: degenerate relevance: all token contributions <= 0")
         normalized = clipped / total
-        n_src = raw_source.shape[0]
         records.append(
             RelevanceRecord(
                 step=step,

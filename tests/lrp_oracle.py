@@ -185,14 +185,15 @@ def all_rows_backward(model, cache, first_step: int, targets) -> list[RelevanceR
         dec_out[rows] * model.weights["out_w"][:, targets].T / _stab(z)[:, None]
     )
     rel_enc_total = np.zeros((len(rows),) + cache["enc_out"].shape)
+    t_dec, t_src = dec_out.shape[0], cache["enc_out"].shape[0]
     for i in reversed(range(model.layers)):
-        caches = lrp._with_context(cache["dec_layers"][i], model.heads)
+        caches = lrp._backward_caches(cache["dec_layers"][i], DECODER_LAYER, model.heads, t_dec)
         rel_dec, rel_enc = lrp._layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel_enc_total += rel_enc
 
     rel = rel_enc_total
     for i in reversed(range(model.layers)):
-        caches = lrp._with_context(cache["enc_layers"][i], model.heads)
+        caches = lrp._backward_caches(cache["enc_layers"][i], ENCODER_LAYER, model.heads, t_src)
         rel, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, caches, rel)
 
     records = []

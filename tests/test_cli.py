@@ -49,6 +49,17 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "missing.txt" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_failure_names_the_file(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    write(hyp, "a b\nb a\n")
+    code, out, err = run_cli(capsys, "align", str(hyp), str(hyp), "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -4,6 +4,7 @@ bytes, truncated fixture files and fixture files with one token
 replaced by random text. Every writer reproduces the fixture its loader
 read, and every CSV table reads back cell for cell."""
 
+import codecs
 import contextlib
 import csv
 import io
@@ -94,6 +95,31 @@ def test_loader_loads_or_names_file(kind, data):
         path = root / f"input.{kind}"
         path.write_bytes(data.draw(mutated(fixture)))
         loads_or_names(loader, path)
+
+
+def loaded(loader, path):
+    """What loader read from path, in a form that == compares, or its error's text."""
+    try:
+        got = loader(path)
+    except DataError as exc:
+        return str(exc).replace(str(path), "PATH")
+    return (got.vectors.shape, got.vectors.tobytes()) if hasattr(got, "vectors") else got
+
+
+@pytest.mark.parametrize("kind", ["corpus", "embeddings", "vocab"])
+@PROPERTY
+@given(data=st.data())
+def test_a_byte_order_mark_loads_as_the_plain_file(kind, data):
+    loader, fixture = FIXTURES[kind]
+    drawn = data.draw(mutated(fixture).filter(lambda b: not b.startswith(codecs.BOM_UTF8)))
+    with scratch_dir() as root:
+        plain, marked = root / "plain", root / "marked"
+        for text in (fixture, drawn):
+            plain.write_bytes(text)
+            marked.write_bytes(codecs.BOM_UTF8 + text)
+            got, want = loaded(loader, marked), loaded(loader, plain)
+            assert got == want
+            assert text != fixture or not isinstance(want, str)  # the fixture loads
 
 
 @PROPERTY

@@ -124,13 +124,13 @@ def raw_row_totals(model, src_ids, tgt_ids):
     )
     rel_src = np.zeros((len(steps),) + cache["enc_out"].shape)
     for i in reversed(range(model.layers)):
-        layer = lrp._with_context(cache["dec_layers"][i], model.heads)
-        caches = lrp._live_rows(layer, len(steps))
+        caches = lrp._backward_caches(cache["dec_layers"][i], DECODER_LAYER, model.heads, len(steps))
         rel_dec, rel_memory = lrp._layer_relevance(model, f"dec{i}", DECODER_LAYER, caches, rel_dec)
         rel_src += rel_memory
     for i in reversed(range(model.layers)):
-        layer = lrp._with_context(cache["enc_layers"][i], model.heads)
-        rel_src, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, layer, rel_src)
+        layer = cache["enc_layers"][i]
+        caches = lrp._backward_caches(layer, ENCODER_LAYER, model.heads, len(src_ids))
+        rel_src, _ = lrp._layer_relevance(model, f"enc{i}", ENCODER_LAYER, caches, rel_src)
     seed = (z - model.weights["out_b"][targets]) / lrp._stab(z)
     return seed, rel_src.sum(axis=2), rel_dec.sum(axis=2)
 
@@ -342,6 +342,42 @@ sentences = st.lists(
 def test_one_pass_matches_per_step_oracle(layers, heads, seed, src, tgt, budget):
     model = toy_model(seed=seed, layers=layers, heads=heads)
     assert_matches_oracle(model, src, tgt, VOCAB, budget)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 1 << 16),
+    src=sentences,
+    tgt=sentences,
+    side=st.sampled_from(["enc_layers", "dec_layers"]),
+    layer=st.integers(0, 1),
+    sublayer=st.integers(0, 2),
+    batch=st.integers(1, 3),
+    residual_sum=st.sampled_from([0.0, lrp.EPS / 3, -lrp.EPS / 3]),
+)
+def test_norm_and_residual_is_the_two_rules_it_merged(
+    seed, src, tgt, side, layer, sublayer, batch, residual_sum
+):
+    # bit for bit: the oracle keeps the layer-norm rule and the residual
+    # split as two functions that each rebuild the residual sum in + out
+    model = toy_model(seed=seed)
+    tgt_ids = VOCAB.encode(tgt.tokens)
+    _, cache = forward(model, VOCAB.encode(src.tokens), [BOS_ID] + tgt_ids[:-1])
+    layer_caches = cache[side][layer]
+    sub = dict(layer_caches[sublayer % len(layer_caches)])
+    # one residual sum within EPS of zero, where the stabiliser's sign decides
+    sub["out"] = sub["out"].copy()
+    sub["out"][-1, -1] = residual_sum - sub["in"][-1, -1]
+    rng = np.random.default_rng(seed)
+    rel = rng.standard_normal((batch,) + sub["in"].shape)
+    rel[0, 0] = -0.0
+    want_in, want_sub = lrp_oracle._residual_split(
+        sub["in"], sub["out"], lrp_oracle._layer_norm_relevance(sub, rel)
+    )
+    got_in = rel.copy()
+    got_sub = lrp._norm_and_residual(sub, got_in)
+    assert got_in.tobytes() == want_in.tobytes()
+    assert got_sub.tobytes() == want_sub.tobytes()
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
