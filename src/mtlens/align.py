@@ -117,9 +117,6 @@ class TranslationTable:
         found = (self.pair_keys[idx] == keys) & (h[:, None] >= 0) & (o[None, :] >= 0)
         return np.where(found, self.probs[idx], 0.0)
 
-    def prob(self, hyp_word: str, other_word) -> float:
-        return float(self.prob_block((hyp_word,), (other_word,))[0, 0])
-
 
 def trainable_pairs(hyp: Corpus, other: Corpus, iterations: int) -> list[int]:
     """Indexes of the sentence pairs EM trains on: those with tokens on both sides.

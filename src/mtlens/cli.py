@@ -186,29 +186,20 @@ def cmd_lrp(args) -> str:
     return "\n".join(out_lines) + "\n"
 
 
-def _load_report_embeddings(emb_dir, run, metrics):
-    """The existing files under emb_dir that the rmss metrics read, keyed by run-relative name."""
-    names = [f"{m.rsplit('-', 1)[1]}.emb" for m in metrics if m in report_mod.RMSS_METRICS]
-    names += [report_mod.hyp_emb_name(c) for c in run.checkpoints]
-    return {name: load_embeddings(path) for name in names
-            if os.path.isfile(path := os.path.join(emb_dir, name))}
-
-
 def cmd_report(args) -> dict:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise UsageError("--metrics needs at least one metric name")
-    for i, metric in enumerate(metrics):
-        if metric not in report_mod.KNOWN_METRICS:
-            known = ", ".join(report_mod.KNOWN_METRICS)
-            raise UsageError(f"--metrics: unknown metric {metric!r}; known: {known}")
-        if metric in metrics[:i]:
-            raise UsageError(f"--metrics: metric {metric!r} given more than once")
+    try:
+        report_mod.check_metrics(metrics)
+    except DataError as exc:
+        raise UsageError(f"--metrics: {exc}") from exc
     run = load_run(args.run_dir)
     # load only what a requested metric reads
     embeddings = model = vocab = None
-    if args.embeddings and any(m in report_mod.RMSS_METRICS for m in metrics):
-        embeddings = _load_report_embeddings(args.embeddings, run, metrics)
+    if args.embeddings:
+        embeddings = {name: load_embeddings(path) for name in report_mod.embedding_names(run, metrics)
+                      if os.path.isfile(path := os.path.join(args.embeddings, name))}
     if args.model and args.vocab and any(m in report_mod.RELEVANCE_METRICS for m in metrics):
         model, vocab = _load_model_and_vocab(args.model, args.vocab)
     series, notes = report_mod.collect(

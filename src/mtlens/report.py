@@ -26,14 +26,23 @@ from .semsim import rmss
 from .series import MetricSeries, SeriesPoint
 from .wordorder import WORDORDER_METRICS, corpus_wordorder
 
-# the metrics that read embeddings; those that read model/vocab, to their ContributionStats field
-RMSS_METRICS = ("rmss-vs-ref", "rmss-vs-src")
+# the metrics that read embeddings, to their side; those that read model/vocab, to a stats field
+RMSS_METRICS = {"rmss-vs-ref": "ref", "rmss-vs-src": "src"}
 RELEVANCE_METRICS = {
     "avg-src-contribution": "avg_source_contribution",
     "src-entropy": "source_entropy",
     "tgt-entropy": "target_entropy",
 }
-KNOWN_METRICS = ("bleu",) + WORDORDER_METRICS + RMSS_METRICS + tuple(RELEVANCE_METRICS)
+KNOWN_METRICS = ("bleu",) + WORDORDER_METRICS + tuple(RMSS_METRICS) + tuple(RELEVANCE_METRICS)
+
+
+def check_metrics(metrics) -> None:
+    """Raise a DataError naming the first name in metrics that is unknown or given twice."""
+    for i, metric in enumerate(metrics):
+        if metric not in KNOWN_METRICS:
+            raise DataError(f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}")
+        if metric in metrics[:i]:
+            raise DataError(f"metric {metric!r} given more than once")
 
 
 def _bleu_series(run: AnalysisRun, lowercase: bool) -> MetricSeries:
@@ -54,22 +63,27 @@ def hyp_emb_name(ckpt) -> str:
     return f"checkpoints/{ckpt.checkpoint_id}/hyp.emb"
 
 
-def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> tuple[MetricSeries, list]:
-    """rmss of each checkpoint against the side's vectors, and the checkpoints without vectors.
+def embedding_names(run: AnalysisRun, metrics) -> list[str]:
+    """The run-relative files the rmss metrics among metrics read: their sides', then each hyp.emb."""
+    sides = [f"{RMSS_METRICS[m]}.emb" for m in metrics if m in RMSS_METRICS]
+    return sides + [hyp_emb_name(c) for c in run.checkpoints] if sides else []
+
+
+def _rmss_series(run: AnalysisRun, metric: str, emb: dict | None, k: int) -> tuple[MetricSeries, list]:
+    """rmss of each checkpoint against the metric's side, and the checkpoints without vectors.
 
     A checkpoint without hyp.emb gets no value and every sentence
     skipped; a missing side or a set of the wrong size refuses the series.
     """
     emb = emb or {}
-    x_name, n = f"{side}.emb", len(run.source)
+    x_name, *names = embedding_names(run, [metric])
+    n = len(run.source)
     if x_name not in emb:
-        raise DataError(f"missing {side} embeddings")
-    names = [hyp_emb_name(c) for c in run.checkpoints]
+        raise DataError(f"missing {RMSS_METRICS[metric]} embeddings")
     for name in [x_name] + names:
         if name in emb and emb[name].count != n:
             raise DataError(f"{name} holds {emb[name].count} vectors for {n} sentences")
-    points = []
-    missing = []
+    points, missing = [], []
     for ckpt, name in zip(run.checkpoints, names):
         if name in emb:
             result = rmss(emb[x_name], emb[name], k)
@@ -77,7 +91,7 @@ def _rmss_series(run: AnalysisRun, side: str, emb: dict | None, k: int) -> tuple
         else:
             missing.append(ckpt.checkpoint_id)
             points.append(SeriesPoint(ckpt.checkpoint_id, None, n))
-    return MetricSeries(metric_name=f"rmss-vs-{side}", points=tuple(points)), missing
+    return MetricSeries(metric_name=metric, points=tuple(points)), missing
 
 
 def corpus_contributions(model, vocab, sources, targets):
@@ -113,13 +127,12 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
             embeddings=None, model=None, vocab=None):
     """Compute the requested metric series.
 
-    metrics are distinct KNOWN_METRICS names; an unknown or repeated
-    name raises DataError. iterations is the FRS EM iteration count, k
+    metrics are distinct KNOWN_METRICS names; check_metrics refuses an
+    unknown or repeated name. iterations is the FRS EM iteration count, k
     the RMSS neighbourhood size, lowercase the BLEU casing, embeddings
-    the EmbeddingSets keyed by their run-relative file names ("ref.emb",
-    "src.emb", "checkpoints/<id>/hyp.emb", see hyp_emb_name) with one
-    vector per run sentence each, and model/vocab the transformer and
-    vocabulary of the relevance metrics.
+    the EmbeddingSets keyed by their run-relative file names (see
+    embedding_names) with one vector per run sentence each, and
+    model/vocab the transformer and vocabulary of the relevance metrics.
 
     Returns (series list in request order, notes list). Each family is
     tried once; if its inputs are missing or it raises a DataError or
@@ -127,42 +140,31 @@ def collect(run: AnalysisRun, metrics, *, iterations=10, k=4, lowercase=False,
     rmss series whose checkpoints lack embeddings keeps their cells empty
     and gets a note naming them.
     """
-    metrics = tuple(metrics)  # walked more than once; an iterator would be used up by the first
-    unknown = [m for m in metrics if m not in KNOWN_METRICS]
-    if unknown:
-        raise DataError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")
-    repeated = sorted({m for i, m in enumerate(metrics) if m in metrics[:i]})
-    if repeated:
-        raise DataError(f"metrics {repeated} requested more than once")
-
+    metrics = tuple(metrics)  # checked, then walked; an iterator would be used up by the check
+    check_metrics(metrics)
     computed: dict[str, MetricSeries | DataError | NumericError] = {}
-    gaps = {}  # rmss metric -> checkpoints left empty for want of embeddings
+    series, notes = [], []
     for metric in metrics:
-        if metric in computed:  # one relevance pass fills or refuses all three series
-            continue
-        try:
-            if metric == "bleu":
-                computed[metric] = _bleu_series(run, lowercase)
-            elif metric in WORDORDER_METRICS:
-                computed[metric] = corpus_wordorder(run, metric, iterations)
-            elif metric in RMSS_METRICS:
-                computed[metric], gaps[metric] = _rmss_series(
-                    run, metric.rsplit("-", 1)[1], embeddings, k
-                )
-            else:
-                computed.update(_lrp_series(run, model, vocab))
-        except (DataError, NumericError) as exc:
-            refused = RELEVANCE_METRICS if metric in RELEVANCE_METRICS else (metric,)
-            computed.update(dict.fromkeys(refused, exc))
-
-    results = [(m, computed[m]) for m in metrics]
-    series = [r for _, r in results if isinstance(r, MetricSeries)]
-    notes = []
-    for m, r in results:
-        if not isinstance(r, MetricSeries):
-            notes.append(f"{m}: skipped ({r})")
-        elif gaps.get(m):
-            notes.append(f"{m}: no value for {gaps[m]} (missing checkpoint embeddings)")
+        if metric not in computed:  # one relevance pass fills or refuses all three series
+            try:
+                if metric == "bleu":
+                    computed[metric] = _bleu_series(run, lowercase)
+                elif metric in WORDORDER_METRICS:
+                    computed[metric] = corpus_wordorder(run, metric, iterations)
+                elif metric in RMSS_METRICS:
+                    computed[metric], missing = _rmss_series(run, metric, embeddings, k)
+                    if missing:
+                        notes.append(f"{metric}: no value for {missing} (missing checkpoint embeddings)")
+                else:
+                    computed.update(_lrp_series(run, model, vocab))
+            except (DataError, NumericError) as exc:
+                refused = RELEVANCE_METRICS if metric in RELEVANCE_METRICS else (metric,)
+                computed.update(dict.fromkeys(refused, exc))
+        result = computed[metric]
+        if isinstance(result, MetricSeries):
+            series.append(result)
+        else:
+            notes.append(f"{metric}: skipped ({result})")
     return series, notes
 
 

@@ -93,6 +93,8 @@ def build_vocab(corpora, limit: int = 512) -> Vocab:
 
 def load_vocab(path) -> Vocab:
     tokens = [line for _, line in read_lines(path)]
+    while tokens and not tokens[-1].strip():  # blank lines after the last token are not tokens
+        tokens.pop()
     try:
         return Vocab(tokens)
     except DataError as exc:

@@ -20,6 +20,7 @@ BLAS products; the replay compares them as parsed JSON within 1e-12.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -128,6 +129,8 @@ LONG = "{DATA}/long"
 XML_NAMES = "{DATA}/xml_names"
 # a small model for vocab.txt with blank lines in its header and between its arrays
 SPACED = "{DATA}/spaced.wts"
+# fixture.wts with every nonzero out_w entry at +-1.7e308, so the first step's logits overflow
+OVERFLOW = "{DATA}/overflow.wts"
 MODEL = ["--model", "{DATA}/fixture.wts", "--vocab", "{DATA}/vocab.txt"]
 SUBCOMMANDS = ("bleu", "ter", "frs", "align", "perturb", "robust", "rmss", "lrp", "report")
 
@@ -266,6 +269,9 @@ GOLDEN_CLI = (
         (["lrp", *MODEL, LONG + "/src.txt", LONG + "/ref.txt"], True),
         (["rmss", "--k", "2", EMB_TILES + "/ref.emb", EMB_TILES + "/hyp.emb",
           "--per-sentence", "{OUT}/rmss_tiles.json"], True),
+        (["lrp", "--model", OVERFLOW, "--vocab", "{DATA}/vocab.txt", SRC, REF], False),
+        (["report", RUN, "--model", OVERFLOW, "--vocab", "{DATA}/vocab.txt",
+          "--metrics", "src-entropy"], False),
     ]
 )
 
@@ -426,6 +432,9 @@ def main():
         layers=2, heads=2, dim=16, ffn=32, vocab_size=len(vocab), seed=2024
     )
     save_model(model, DATA / "fixture.wts")
+    out_w = np.sign(model.weights["out_w"]) * 1.7e308
+    save_model(dataclasses.replace(model, weights={**model.weights, "out_w": out_w}),
+               DATA / "overflow.wts")
 
     reloaded = load_model(DATA / "fixture.wts")
     golden_src = vocab.encode(src_corpus[0].tokens)

@@ -26,15 +26,15 @@ from conftest import DATA_DIR, make_corpus, make_sentence
 
 def test_single_pair_forces_mass():
     table = train_model1(make_corpus(["a"]), make_corpus(["x"]), iterations=3)
-    assert table.prob("a", "x") == pytest.approx(1.0)
+    assert table.prob_block(["a"], ["x"])[0, 0] == pytest.approx(1.0)
 
 
 def test_das_haus_concentrates_on_the():
     hyp = make_corpus(["the house", "the book"])
     other = make_corpus(["das haus", "das buch"])
     table = train_model1(hyp, other, iterations=20)
-    assert table.prob("the", "das") > table.prob("house", "das")
-    assert table.prob("the", "das") > table.prob("book", "das")
+    the, house, book = table.prob_block(["the", "house", "book"], ["das"])[:, 0]
+    assert the > house and the > book
 
 
 def test_das_haus_hand_em_first_iteration():
@@ -42,10 +42,9 @@ def test_das_haus_hand_em_first_iteration():
     hyp = make_corpus(["the house", "the book"])
     other = make_corpus(["das haus", "das buch"])
     table = train_model1(hyp, other, iterations=1)
-    assert table.prob("the", "das") == pytest.approx(0.5)
-    assert table.prob("house", "das") == pytest.approx(0.25)
-    assert table.prob("book", "das") == pytest.approx(0.25)
-    assert table.prob("the", "haus") == pytest.approx(0.5)
+    block = table.prob_block(["the", "house", "book"], ["das", "haus"])
+    assert block[:, 0].tolist() == pytest.approx([0.5, 0.25, 0.25])
+    assert block[0, 1] == pytest.approx(0.5)
 
 
 def test_log_likelihood_non_decreasing():
@@ -114,7 +113,8 @@ def test_null_absorbs_only_on_strictly_higher_probability():
     table = train_model1(hyp, other, iterations=20)
     # NULL and "das" co-occur identically here, so their rows tie; the
     # real position must win the tie
-    assert table.prob("the", NULL) == pytest.approx(table.prob("the", "das"))
+    t_null, t_das = table.prob_block(["the"], [NULL, "das"])[0]
+    assert t_null == pytest.approx(t_das)
     aln = viterbi_align(table, make_sentence("the house"), make_sentence("das haus"))
     assert (0, 0) in aln
 
@@ -206,7 +206,7 @@ def assert_same_as_oracle(hyp, other, iterations, probes=()):
     oracle_pairs = [(h, o) for o, row in oracle.t.items() for h in row]
     assert len(table.pair_keys) == len(oracle_pairs)
     for h, o in oracle_pairs:
-        assert table.prob(h, o) == oracle.t[o][h], (h, o)
+        assert table.prob_block([h], [o])[0, 0] == oracle.t[o][h], (h, o)
     for h_sent, o_sent in [*zip(hyp, other), *probes]:
         assert viterbi_align(table, h_sent, o_sent) == model1_oracle.viterbi_align(
             oracle, h_sent, o_sent
@@ -251,9 +251,9 @@ def test_equals_dict_oracle_on_tiny_vocabularies(bitext, iterations):
     ]
     table, oracle = assert_same_as_oracle(hyp, other, iterations, probes)
     # every word pair, seen together or not, NULL and an unseen word included
-    for h in ("a", "b", "c", "x", "zzz"):
-        for o in (NULL, "x", "y", "a", "b", "zzz"):
-            assert table.prob(h, o) == oracle.prob(h, o), (h, o)
+    hyps, others = ("a", "b", "c", "x", "zzz"), (NULL, "x", "y", "a", "b", "zzz")
+    want = [[oracle.prob(h, o) for o in others] for h in hyps]
+    assert table.prob_block(hyps, others).tolist() == want
 
 
 @pytest.mark.parametrize("checkpoint", ["000100", "000200", "000300"])

@@ -1,10 +1,12 @@
-"""Imports kept unused for the benchmark's trace spans are ones the spans wrap.
+"""Every import in `src/mtlens` is read, but those kept for the benchmark's trace spans.
 
 A `# noqa: F401` import in `src/mtlens` binds a name the module itself
 never reads, so that `benchmarks/spans.py` can wrap the call at that
 name. Each such name must be a `WRAPPED` attribute of its module, so
 no import outlives its entry and the list of imports to delete with
-`WRAPPED` is exact.
+`WRAPPED` is exact. Any other name an import binds must be read in its
+module (`__init__.py` binds names to export them), so an import that a
+deleted helper leaves behind fails here.
 """
 
 import ast
@@ -22,25 +24,38 @@ def _wrapped() -> set:
     return {(module, attr) for module, attr, _, _ in spans.WRAPPED}
 
 
-def _unused_noqa_imports() -> list:
-    """(module, name) of each name a noqa: F401 import binds and its module never reads."""
-    unused = []
+def _unread_imports() -> list:
+    """(module, name, noqa) of each name an import binds and its module never reads.
+
+    noqa tells whether the import's line carries `noqa: F401`.
+    """
+    unread = []
     for path in sorted((ROOT / "src" / "mtlens").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
         tree = ast.parse(source)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and "noqa: F401" in lines[node.lineno - 1]:
-                unused += [
-                    (f"mtlens.{path.stem}", name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                noqa = "noqa: F401" in lines[node.lineno - 1]
+                unread += [
+                    (f"mtlens.{path.stem}", name, noqa)
                     for name in (alias.asname or alias.name for alias in node.names)
                     if name not in read
                 ]
-    return unused
+    return unread
 
 
 def test_every_unused_noqa_import_is_wrapped():
-    unused = _unused_noqa_imports()
+    unused = [(module, name) for module, name, noqa in _unread_imports() if noqa]
     assert unused  # the spans wrap some name a module does not call itself
     assert [entry for entry in unused if entry not in _wrapped()] == []
+
+
+def test_every_other_import_is_read():
+    wrapped = _wrapped()
+    unread = [(module, name) for module, name, noqa in _unread_imports()
+              if not (noqa and (module, name) in wrapped)]
+    assert unread == []

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
@@ -10,6 +13,7 @@ import report_oracle
 import wordorder_oracle
 from mtlens import quality, report
 from mtlens.align import TranslationTable, train_model1
+from mtlens.cli import main
 from mtlens.corpus import AnalysisRun, CheckpointRun, load_run
 from mtlens.errors import DataError, NumericError
 from mtlens.quality import corpus_bleu
@@ -94,6 +98,23 @@ def test_collect_repeated_metric_rejected(metrics):
     # emit_csv would write one column name twice
     with pytest.raises(DataError, match="more than once"):
         collect(identity_run(), metrics)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(report.KNOWN_METRICS + ("nope", "BLEU")), min_size=1, max_size=5))
+def test_collect_and_cli_refuse_alike(metrics):
+    # one rule, check_metrics, refuses the first unknown or repeated name in one wording
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", str(DATA_DIR / "run3"), "--metrics", ",".join(metrics)])
+    try:
+        series, notes = collect(fixture_run(), metrics)
+    except DataError as exc:
+        assert (code, err.getvalue()) == (1, f"error: --metrics: {exc}\n")
+    else:
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        assert (payload["series"], payload["notes"]) == ([s.metric_name for s in series], notes)
 
 
 def test_collect_order_stability():
